@@ -3,7 +3,9 @@
 # under AddressSanitizer + UBSan, then the concurrency-labelled suites
 # (parallel survey determinism, pool races) under ThreadSanitizer — so the
 # retry/breaker state machines, the fault-injection paths and the parallel
-# executor are sanitizer-clean on every change. A perf phase then runs the
+# executor are sanitizer-clean on every change — and requires a
+# fault-injected survey that exhausts its retry budget to print the same
+# bytes at --jobs 1 and --jobs 4. A perf phase then runs the
 # pipeline benchmark suites (optimized build, 5 repetitions) and writes the
 # aggregates to BENCH_pipeline.json / BENCH_certs.json, so perf regressions
 # in the interned analysis core and the §5 certificate pipeline are visible
@@ -38,6 +40,28 @@ ctest --preset robustness-asan -j"$(nproc)" "$@"
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)"
 ctest --preset concurrency-tsan -j"$(nproc)" "$@"
+
+# A finite retry budget is spent in walk order, so the survey engine walks
+# a budgeted survey in input order: exhausting the budget mid-survey must
+# not make --jobs 4 differ from --jobs 1.
+budget_dir="$(mktemp -d)"
+budget_survey() { # jobs outfile
+  local rc=0
+  ./build-tsan/tools/iotls_probe --all --retries=3 --retry-budget=200 \
+    --fault-spec=seed=7,timeout=0.2 --jobs="$1" >"$2" || rc=$?
+  # Exit 1 just means the survey saw problematic chains.
+  if [ "$rc" -gt 1 ]; then
+    echo "concurrency phase failed: iotls_probe --jobs=$1 exited $rc" >&2
+    exit 1
+  fi
+}
+budget_survey 1 "$budget_dir/jobs1.txt"
+budget_survey 4 "$budget_dir/jobs4.txt"
+if ! cmp "$budget_dir/jobs1.txt" "$budget_dir/jobs4.txt"; then
+  echo "concurrency phase failed: budgeted survey differs across --jobs" >&2
+  exit 1
+fi
+rm -rf "$budget_dir"
 
 cmake --preset default
 cmake --build --preset default -j"$(nproc)" \

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "exec/pool.hpp"
-#include "obs/trace.hpp"
+#include "net/survey.hpp"
 #include "util/strings.hpp"
 #include "x509/validation.hpp"
 
@@ -11,16 +10,44 @@ namespace iotls::core {
 
 namespace {
 
-/// One fully probed SNI out of the parallel stage: the record itself plus
-/// the two values the sequential fold needs (the leaf fingerprint, hashed
-/// once here and reused for dedup and the index memo, and the failure
-/// reason for span bookkeeping).
-struct ProbedSni {
-  SniRecord record;
-  std::string leaf_fp;
-  std::string fail_reason;
-  bool from_memo = false;
-};
+/// The record half of one harvested SNI, built in the survey worker: chain
+/// normalisation, leaf hashing and the OCSP check stay parallel.
+ProbedSni probed_sni(const net::MultiVantageResult& multi,
+                     const devicesim::SimWorld& world,
+                     x509::ValidationCache* cache) {
+  ProbedSni out;
+  SniRecord& record = out.record;
+  record.sni = multi.sni;
+  for (const auto& [vantage, result] : multi.by_vantage) {
+    if (result.reachable && !result.chain.empty()) {
+      auto normalized = x509::normalize_chain_order(result.chain, multi.sni);
+      record.leaf_by_vantage[vantage] = normalized.front().fingerprint();
+    } else {
+      record.leaf_by_vantage[vantage] = std::nullopt;
+    }
+  }
+
+  const net::ProbeResult& ny = multi.by_vantage.at(net::VantagePoint::kNewYork);
+  record.reachable = ny.reachable;
+  out.fail_reason = multi.failure_tag();
+  if (ny.stapled.has_value()) {
+    record.stapled = true;
+    record.staple_valid = cache != nullptr
+                              ? cache->ocsp_ok(*ny.stapled, world.keys)
+                              : x509::verify_ocsp(*ny.stapled, world.keys);
+  }
+  if (ny.reachable) {
+    record.chain = x509::normalize_chain_order(ny.chain, multi.sni);
+    record.served_misordered = !(record.chain == ny.chain);
+    if (const net::SimServer* server = world.internet.find(multi.sni)) {
+      record.server_ips = server->ips;
+    }
+    if (!record.chain.empty()) {
+      out.leaf_fp = record.chain.front().fingerprint();
+    }
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -30,107 +57,53 @@ CertDataset CertDataset::collect(const ClientDataset& client,
                                  x509::ValidationCache* cache,
                                  const net::Internet* internet,
                                  ProbeMemo* memo) {
-  auto span = obs::tracer().span("probe");
   CertDataset ds;
   net::TlsProber prober(internet != nullptr ? *internet : world.internet);
 
   // Eligible SNIs in the map's (lexicographic) order — the walk order the
-  // sequential fold below preserves at every jobs level.
+  // sequential fold below preserves at every jobs level. Memo hits are
+  // copied in the fold; the rest go to the survey engine.
   using SniUsers = std::pair<const std::string, std::set<std::string>>;
   std::vector<const SniUsers*> eligible;
-  eligible.reserve(client.sni_users().size());
+  std::vector<std::string> fresh;
   for (const auto& entry : client.sni_users()) {
-    if (entry.second.size() >= min_users) eligible.push_back(&entry);
+    if (entry.second.size() < min_users) continue;
+    eligible.push_back(&entry);
+    if (memo == nullptr || memo->by_sni.count(entry.first) == 0) {
+      fresh.push_back(entry.first);
+    }
   }
 
-  // Parallel stage: pure per-SNI probing and record construction into
-  // pre-sized slots (probe_all_vantages is per-SNI deterministic and has no
-  // survey-wide state). Counters, span bookkeeping, leaf dedup and the
-  // index fold stay sequential so the dataset is byte-identical at any
-  // jobs level.
-  std::vector<ProbedSni> probed(eligible.size());
-  exec::parallel_for(jobs, eligible.size(), [&](std::size_t i) {
-    const auto& [sni, users] = *eligible[i];
-    ProbedSni& out = probed[i];
-    SniRecord& record = out.record;
-    record.sni = sni;
-    record.users = users;
-    record.devices = client.sni_devices().at(sni);
-    record.vendors = client.sni_vendors().at(sni);
+  // The prober's defaults: one attempt per vantage, and a breaker that
+  // never denies (it opens after 3 failures; each SNI gets exactly 3).
+  auto probed = net::run_survey<net::DegradationSummary>(
+      fresh, "probe", jobs, prober.retry_policy(), prober.breaker_config(),
+      [&](const std::string& sni,
+          net::SurveyShard<net::DegradationSummary>& shard) {
+        return probed_sni(prober.survey_one(sni, shard), world, cache);
+      },
+      [](const ProbedSni& p) { return p.fail_reason; });
 
-    if (memo != nullptr) {
-      // Memo hits replay the prior epoch's probe verbatim; only membership
-      // (filled above) is allowed to differ between epochs.
-      auto hit = memo->by_sni.find(sni);
-      if (hit != memo->by_sni.end()) {
-        const ProbeMemo::Core& core = hit->second;
-        record.reachable = core.reachable;
-        record.chain = core.chain;
-        record.served_misordered = core.served_misordered;
-        record.leaf_by_vantage = core.leaf_by_vantage;
-        record.server_ips = core.server_ips;
-        record.stapled = core.stapled;
-        record.staple_valid = core.staple_valid;
-        out.leaf_fp = core.leaf_fp;
-        out.fail_reason = core.fail_reason;
-        out.from_memo = true;
-        return;
-      }
-    }
-
-    net::MultiVantageResult multi = prober.probe_all_vantages(sni);
-    for (const auto& [vantage, result] : multi.by_vantage) {
-      if (result.reachable && !result.chain.empty()) {
-        auto normalized = x509::normalize_chain_order(result.chain, sni);
-        record.leaf_by_vantage[vantage] = normalized.front().fingerprint();
-      } else {
-        record.leaf_by_vantage[vantage] = std::nullopt;
-      }
-    }
-
-    const net::ProbeResult& ny = multi.by_vantage.at(net::VantagePoint::kNewYork);
-    record.reachable = ny.reachable;
-    if (!ny.reachable) out.fail_reason = net::probe_error_name(ny.error);
-    if (ny.stapled.has_value()) {
-      record.stapled = true;
-      record.staple_valid = cache != nullptr
-                                ? cache->ocsp_ok(*ny.stapled, world.keys)
-                                : x509::verify_ocsp(*ny.stapled, world.keys);
-    }
-    if (ny.reachable) {
-      record.chain = x509::normalize_chain_order(ny.chain, sni);
-      record.served_misordered = !(record.chain == ny.chain);
-      if (const net::SimServer* server = world.internet.find(sni)) {
-        record.server_ips = server->ips;
-      }
-      if (!record.chain.empty()) {
-        out.leaf_fp = record.chain.front().fingerprint();
-      }
-    }
-  });
-
-  // Sequential fold, input order: aggregation and the interned index.
+  // Sequential fold, input order: membership, aggregation and the
+  // interned index.
   ds.index_.reserve(eligible.size());
   ds.records_.reserve(eligible.size());
-  for (ProbedSni& p : probed) {
-    if (memo != nullptr && !p.from_memo) {
-      ProbeMemo::Core core;
-      core.reachable = p.record.reachable;
-      core.chain = p.record.chain;
-      core.served_misordered = p.record.served_misordered;
-      core.leaf_by_vantage = p.record.leaf_by_vantage;
-      core.server_ips = p.record.server_ips;
-      core.stapled = p.record.stapled;
-      core.staple_valid = p.record.staple_valid;
-      core.leaf_fp = p.leaf_fp;
-      core.fail_reason = p.fail_reason;
-      memo->by_sni.emplace(p.record.sni, std::move(core));
-    }
-    ++ds.extracted_;
-    span.add_items();
-    if (!p.record.reachable) {
-      span.fail(p.fail_reason);
+  std::size_t next_fresh = 0;
+  for (const SniUsers* entry : eligible) {
+    const auto& [sni, users] = *entry;
+    ProbedSni p;
+    if (next_fresh < fresh.size() && fresh[next_fresh] == sni) {
+      p = std::move(probed.results[next_fresh++]);
+      if (memo != nullptr) memo->by_sni.emplace(sni, p);
     } else {
+      p = memo->by_sni.at(sni);  // one copy; membership is filled below
+    }
+    p.record.users = users;
+    p.record.devices = client.sni_devices().at(sni);
+    p.record.vendors = client.sni_vendors().at(sni);
+
+    ++ds.extracted_;
+    if (p.record.reachable) {
       ++ds.reachable_;
       if (!p.record.chain.empty()) {
         LeafRecord& leaf = ds.leaves_[p.leaf_fp];

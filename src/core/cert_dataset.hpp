@@ -58,26 +58,22 @@ struct GeoComparison {
   std::map<net::VantagePoint, std::size_t> exclusive;    // leaf unique to place
 };
 
-/// Probe-derived per-SNI state carried across epochs by the streaming
-/// daemon. Everything in a Core is a pure function of (SNI, world) — which
-/// devices/vendors/users contacted the SNI is *not* (membership grows with
-/// the event stream), so membership is recomputed from the client index on
-/// every collect and never memoized. A collect seeded with a memo probes
-/// only never-seen SNIs and rebuilds the rest from Cores, yielding a
-/// dataset byte-identical to a cold collect over the same client dataset.
+/// One probed SNI: the record without membership (devices, vendors and
+/// users stay empty), plus the leaf fingerprint — hashed once and reused
+/// for dedup and the index memo — and the stage-span failure tag.
+struct ProbedSni {
+  SniRecord record;
+  std::string leaf_fp;
+  std::string fail_reason;
+};
+
+/// Probe outcomes carried across epochs by the streaming daemon. A
+/// ProbedSni is a pure function of (SNI, world); membership grows with the
+/// event stream, so it is filled on every collect and never memoized. A
+/// memo-seeded collect probes only never-seen SNIs, byte-identical to a
+/// cold collect over the same client dataset.
 struct ProbeMemo {
-  struct Core {
-    bool reachable = false;
-    std::vector<x509::Certificate> chain;
-    bool served_misordered = false;
-    std::map<net::VantagePoint, std::optional<std::string>> leaf_by_vantage;
-    std::vector<std::string> server_ips;
-    bool stapled = false;
-    bool staple_valid = false;
-    std::string leaf_fp;
-    std::string fail_reason;
-  };
-  std::map<std::string, Core> by_sni;
+  std::map<std::string, ProbedSni> by_sni;
 };
 
 /// The §5.1 dataset.
@@ -86,15 +82,16 @@ class CertDataset {
   /// Probe every SNI observed from at least `min_users` users.
   ///
   /// `jobs` shards the probing across worker threads (1 = sequential on the
-  /// caller, 0 = hardware concurrency); SNIs are probed one per shard and
-  /// merged in input (lexicographic SNI) order, so the dataset — records,
+  /// caller, 0 = hardware concurrency) on the survey engine; SNIs are
+  /// probed one per shard and merged in input (lexicographic SNI) order,
+  /// each with one attempt per vantage, so the dataset — records,
   /// leaves, counters and the interned index — is byte-identical at every
   /// jobs level. `cache` (optional) memoizes OCSP staple verification
   /// across servers sharing a certificate. `internet` (optional) overrides
   /// the internet probes travel through — e.g. a FaultInjector decorating
   /// `world.internet` — without touching the world's PKI or IP metadata.
-  /// `memo` (optional) skips probing for SNIs with a memoized Core and
-  /// stores Cores for the ones probed this call (see ProbeMemo).
+  /// `memo` (optional) skips probing for memoized SNIs and stores the
+  /// outcomes of the ones probed this call (see ProbeMemo).
   static CertDataset collect(const ClientDataset& client,
                              const devicesim::SimWorld& world,
                              std::size_t min_users = 1, int jobs = 1,

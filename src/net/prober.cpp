@@ -1,10 +1,9 @@
 #include "net/prober.hpp"
 
+#include <array>
 #include <cctype>
 #include <cstdio>
-#include <mutex>
 
-#include "exec/pool.hpp"
 #include "obs/health.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -28,43 +27,40 @@ std::string vantage_slug(VantagePoint v) {
   return name;
 }
 
+/// Counters "<prefix><vantage slug>" for every vantage, indexed by enum.
+std::array<obs::Counter*, kAllVantagePoints.size()> vantage_counters(
+    const std::string& prefix) {
+  std::array<obs::Counter*, kAllVantagePoints.size()> counters{};
+  for (VantagePoint vp : kAllVantagePoints) {
+    counters[static_cast<std::size_t>(vp)] =
+        &obs::metrics().counter(prefix + vantage_slug(vp));
+  }
+  return counters;
+}
+
 /// Per-vantage reachability counters, resolved once.
 obs::Counter& reachable_counter(VantagePoint v) {
-  static obs::Counter* counters[kAllVantagePoints.size()] = {};
-  static std::once_flag once;
-  std::call_once(once, [] {
-    for (VantagePoint vp : kAllVantagePoints) {
-      counters[static_cast<std::size_t>(vp)] = &obs::metrics().counter(
-          "net.probe.reachable." + vantage_slug(vp));
-    }
-  });
+  static const auto counters = vantage_counters("net.probe.reachable.");
   return *counters[static_cast<std::size_t>(v)];
 }
 
 obs::Counter& unreachable_counter(VantagePoint v) {
-  static obs::Counter* counters[kAllVantagePoints.size()] = {};
-  static std::once_flag once;
-  std::call_once(once, [] {
-    for (VantagePoint vp : kAllVantagePoints) {
-      counters[static_cast<std::size_t>(vp)] = &obs::metrics().counter(
-          "net.probe.unreachable." + vantage_slug(vp));
-    }
-  });
+  static const auto counters = vantage_counters("net.probe.unreachable.");
   return *counters[static_cast<std::size_t>(v)];
 }
 
 obs::Counter& error_counter(ProbeError e) {
   // Indexed by enum value; kNone is never counted.
-  static obs::Counter* counters[7] = {};
-  static std::once_flag once;
-  std::call_once(once, [] {
+  static const auto counters = [] {
+    std::array<obs::Counter*, 7> c{};
     for (ProbeError err : {ProbeError::kDns, ProbeError::kConnect,
                            ProbeError::kAlert, ProbeError::kParse,
                            ProbeError::kTimeout, ProbeError::kSkipped}) {
-      counters[static_cast<std::size_t>(err)] =
+      c[static_cast<std::size_t>(err)] =
           &obs::metrics().counter("net.probe.error." + probe_error_name(err));
     }
-  });
+    return c;
+  }();
   return *counters[static_cast<std::size_t>(e)];
 }
 
@@ -73,24 +69,6 @@ obs::Counter& retry_counter(ProbeError e) {
   static obs::Counter* timeout = &obs::metrics().counter("net.probe.retry.timeout");
   static obs::Counter* connect = &obs::metrics().counter("net.probe.retry.connect");
   return e == ProbeError::kTimeout ? *timeout : *connect;
-}
-
-ProbeError classify_net_error(NetError::Kind kind) {
-  switch (kind) {
-    case NetError::Kind::kNoRoute: return ProbeError::kDns;
-    case NetError::Kind::kTimeout: return ProbeError::kTimeout;
-    case NetError::Kind::kConnect: return ProbeError::kConnect;
-    case NetError::Kind::kProtocol: return ProbeError::kConnect;
-  }
-  return ProbeError::kConnect;
-}
-
-/// Did the probe reach *a server* (even one that refused us)? Only
-/// connectivity failures feed the circuit breaker; a fatal alert or a
-/// garbled flight proves something answered.
-bool connectivity_failure(ProbeError e) {
-  return e == ProbeError::kDns || e == ProbeError::kTimeout ||
-         e == ProbeError::kConnect;
 }
 
 /// Our own client hello: a modern, fixed configuration (the probing client
@@ -177,6 +155,13 @@ ProbeError MultiVantageResult::majority_error() const {
   return best;
 }
 
+std::string MultiVantageResult::failure_tag() const {
+  for (const auto& [vantage, result] : by_vantage) {
+    if (result.reachable) return {};
+  }
+  return probe_error_name(majority_error());
+}
+
 void DegradationSummary::merge(const DegradationSummary& other) {
   snis += other.snis;
   fully_reachable += other.fully_reachable;
@@ -234,7 +219,9 @@ ProbeResult TlsProber::probe_once(const std::string& sni,
     response = internet_->connect(vantage, family_,
                                   BytesView(flight.data(), flight.size()));
   } catch (const NetError& e) {
-    result.error = classify_net_error(e.kind());
+    NetFailure failure = classify(e.kind());
+    result.error = failure.error;
+    result.transient = failure.transient;
     result.error_detail = e.what();
   }
 
@@ -308,34 +295,26 @@ ProbeResult TlsProber::probe_with_retries(const std::string& sni,
     trace_span.detail("sni=" + sni + " vantage=" + vantage_slug(vantage));
   }
 
-  const int max_attempts = retry_.max_attempts < 1 ? 1 : retry_.max_attempts;
-  ProbeResult result;
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    result = probe_once(sni, vantage);
-    result.attempts = attempt;
-    if (result.error == ProbeError::kNone) break;
-    result.transient = RetryPolicy::retryable(result.error);
-    // Definitive categories (alert/parse/dns) are the server's answer, not
-    // weather — retrying them would bias the §5 failure statistics.
-    if (!result.transient || attempt == max_attempts) break;
-    // One token buys one extra attempt; the acquire is a single CAS, so a
-    // budget of K yields exactly K survey-wide retries even with N workers
-    // racing for the last token (a failed acquire spends nothing).
-    if (budget != nullptr && !budget->try_acquire()) {
-      if (summary != nullptr) ++summary->budget_denied;
-      break;
-    }
-    retries_total.inc();
-    retry_counter(result.error).inc();
-    if (summary != nullptr) ++summary->retries;
-    std::uint64_t backoff = retry_.backoff_ms(attempt, sni, vantage);
-    backoff_total.inc(backoff);
-    if (summary != nullptr) summary->backoff_ms_total += backoff;
-    clock().sleep_ms(backoff);
-  }
+  AttemptLog log;
+  ProbeError retried = ProbeError::kNone;
+  ProbeResult result = with_retries(
+      retry_, clock(), budget, sni, vantage, log, [&](int attempt) {
+        if (attempt > 1) {
+          retries_total.inc();
+          retry_counter(retried).inc();
+        }
+        ProbeResult r = probe_once(sni, vantage);
+        retried = r.error;
+        return r;
+      });
+  result.attempts = log.attempts;
+  backoff_total.inc(log.backoff_ms);
   attempts_hist.observe(static_cast<std::uint64_t>(result.attempts));
   if (summary != nullptr) {
     summary->attempts += static_cast<std::uint64_t>(result.attempts);
+    summary->retries += static_cast<std::uint64_t>(result.attempts - 1);
+    summary->backoff_ms_total += log.backoff_ms;
+    if (log.budget_denied) ++summary->budget_denied;
   }
 
   if (result.reachable) {
@@ -383,36 +362,43 @@ std::vector<MultiVantageResult> TlsProber::survey(
   return survey_report(snis).results;
 }
 
-MultiVantageResult TlsProber::survey_one(const std::string& sni,
-                                         CircuitBreaker& breaker,
-                                         RetryBudget& budget,
-                                         DegradationSummary& summary) const {
+MultiVantageResult TlsProber::survey_one(
+    const std::string& sni, SurveyShard<DegradationSummary>& shard) const {
   static obs::Counter& skipped_counter =
       obs::metrics().counter("net.probe.skipped.breaker");
 
   obs::TraceSpan trace_span("net.survey_one");
   if (trace_span.active()) trace_span.detail("sni=" + sni);
 
+  DegradationSummary& summary = shard.summary;
   MultiVantageResult multi;
   multi.sni = sni;
+  std::size_t reachable_vantages = 0;
+  bool any_quarantined = false;
   for (VantagePoint v : kAllVantagePoints) {
-    if (!breaker.allow(sni)) {
+    if (!shard.breaker.allow(sni)) {
       // Quarantined: report the gap honestly instead of blocking on a
       // host the survey already knows is dead.
       error_counter(ProbeError::kSkipped).inc();
       skipped_counter.inc();
       ++summary.skipped_probes;
+      any_quarantined = true;
       multi.by_vantage[v] = ProbeResult::skipped_by_breaker(sni, v);
       continue;
     }
-    ProbeResult r = probe_with_retries(sni, v, &budget, &summary);
-    if (r.reachable || !connectivity_failure(r.error)) {
-      breaker.record_success(sni);
-    } else {
-      breaker.record_failure(sni);
-    }
+    ProbeResult r = probe_with_retries(sni, v, shard.budget, &summary);
+    record_outcome(shard.breaker, sni, r.error);
+    if (r.reachable) ++reachable_vantages;
     multi.by_vantage[v] = std::move(r);
   }
+  if (reachable_vantages == multi.by_vantage.size()) {
+    ++summary.fully_reachable;
+  } else if (reachable_vantages > 0) {
+    ++summary.degraded;
+  } else {
+    ++summary.unreachable;
+  }
+  if (any_quarantined) ++summary.quarantined_snis;
   return multi;
 }
 
@@ -436,102 +422,24 @@ SurveyReport TlsProber::survey_report(const std::vector<std::string>& snis) cons
                                : obs::HealthStatus::healthy(detail);
       });
 
-  auto span = obs::tracer().span("probe");
-
-  SurveyReport report;
-  report.results.resize(snis.size());
-  report.summary.snis = snis.size();
-
-  RetryBudget budget(retry_.retry_budget);
-
-  // Shard by distinct SNI, first-occurrence order. All occurrences of one
-  // SNI stay in one shard and run in input order, so its circuit-breaker
-  // history (per-SNI state, nothing cross-SNI) and its fault-injector
-  // attempt counters evolve exactly as in the sequential walk; distinct
-  // SNIs are independent and may run on any worker.
-  std::vector<std::vector<std::size_t>> groups;
-  {
-    std::map<std::string, std::size_t> group_of;
-    for (std::size_t i = 0; i < snis.size(); ++i) {
-      auto [it, fresh] = group_of.emplace(snis[i], groups.size());
-      if (fresh) groups.emplace_back();
-      groups[it->second].push_back(i);
-    }
-  }
-
-  // Per-shard state, merged after the join: degradation partials fold
-  // additively; breaker occupancy sums (each shard's breaker holds exactly
-  // the shard's one SNI). Result slots are pre-sized and index-disjoint,
-  // so workers write without coordination and the merged vector is in
-  // input order — bit-identical to the sequential walk.
-  std::vector<DegradationSummary> partials(groups.size());
-  std::vector<CircuitBreaker::Counts> occupancy(groups.size());
-
-  auto run_group = [&](std::size_t g) {
-    // Stage span per shard: rolls up into one deterministic `probe.shard`
-    // stats row (calls == shard count at every jobs level) and, when the
-    // flight recorder is on, draws the shard as a bar on its worker's
-    // trace track with the per-SNI spans nested inside.
-    auto shard_span = obs::tracer().span("probe.shard");
-    CircuitBreaker breaker(breaker_config_);
-    for (std::size_t index : groups[g]) {
-      report.results[index] =
-          survey_one(snis[index], breaker, budget, partials[g]);
-      shard_span.add_items();
-    }
-    occupancy[g] = breaker.counts();
-  };
-
-  const int jobs = exec::resolve_jobs(jobs_);
-  if (jobs <= 1 || groups.size() <= 1) {
-    for (std::size_t g = 0; g < groups.size(); ++g) run_group(g);
-  } else {
-    exec::ThreadPool pool(jobs);
-    pool.parallel_for(groups.size(), run_group);
-  }
-
-  for (const DegradationSummary& partial : partials) {
-    report.summary.merge(partial);
-  }
-
-  // Per-SNI classification, in input order on the calling thread (the
-  // probe span and its failure tags therefore never race).
-  for (const MultiVantageResult& multi : report.results) {
-    span.add_items();
-    std::size_t reachable_vantages = 0;
-    bool any_quarantined = false;
-    for (const auto& [vantage, result] : multi.by_vantage) {
-      if (result.reachable) ++reachable_vantages;
-      if (result.quarantined) any_quarantined = true;
-    }
-    if (reachable_vantages == multi.by_vantage.size()) {
-      ++report.summary.fully_reachable;
-    } else if (reachable_vantages > 0) {
-      ++report.summary.degraded;
-    } else {
-      ++report.summary.unreachable;
-      // Tag by the majority category across vantages (ties favour New
-      // York, the paper's primary vantage) — a per-vantage mix must not
-      // be misattributed wholesale to one location's error.
-      span.fail(probe_error_name(multi.majority_error()));
-    }
-    if (any_quarantined) ++report.summary.quarantined_snis;
-  }
+  // Unreachable SNIs are tagged by their majority category across
+  // vantages (ties favour New York, the paper's primary vantage) — a
+  // per-vantage mix must not be misattributed wholesale to one location.
+  auto run = run_survey<DegradationSummary>(
+      snis, "probe", jobs_, retry_, breaker_config_,
+      [this](const std::string& sni, SurveyShard<DegradationSummary>& shard) {
+        return survey_one(sni, shard);
+      },
+      [](const MultiVantageResult& multi) { return multi.failure_tag(); });
 
   // Export breaker occupancy so a fleet dashboard sees quarantine pressure.
-  CircuitBreaker::Counts counts;
-  for (const CircuitBreaker::Counts& c : occupancy) {
-    counts.closed += c.closed;
-    counts.open += c.open;
-    counts.half_open += c.half_open;
-  }
   obs::metrics().gauge("net.probe.breaker.closed").set(
-      static_cast<std::int64_t>(counts.closed));
+      static_cast<std::int64_t>(run.breakers.closed));
   obs::metrics().gauge("net.probe.breaker.open").set(
-      static_cast<std::int64_t>(counts.open));
+      static_cast<std::int64_t>(run.breakers.open));
   obs::metrics().gauge("net.probe.breaker.half_open").set(
-      static_cast<std::int64_t>(counts.half_open));
-  return report;
+      static_cast<std::int64_t>(run.breakers.half_open));
+  return {std::move(run.results), run.summary};
 }
 
 }  // namespace iotls::net

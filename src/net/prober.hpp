@@ -9,14 +9,10 @@
 // network chaos degrades gracefully into partial results plus an explicit
 // degradation summary instead of silently undercounting reachability.
 //
-// Parallelism: survey()/survey_report() shard the walk over iotls::exec
-// when set_jobs(N > 1) — one shard per distinct SNI (all of an SNI's
-// occurrences stay in one shard, so its breaker history replays exactly),
-// results merged back in input order, per-shard degradation summaries
-// folded additively, and the retry budget shared through an atomic token
-// bucket. Per-(SNI, vantage, attempt) fault and jitter streams are already
-// order-independent, so the parallel report is bit-identical to the
-// sequential one.
+// Parallelism: survey()/survey_report() run on the survey engine
+// (net/survey.hpp) — survey_one() is the per-SNI callback, sharded by
+// distinct SNI across set_jobs(N) workers and merged in input order, so
+// the parallel report is bit-identical to the sequential one.
 #pragma once
 
 #include <map>
@@ -27,6 +23,7 @@
 #include "net/internet.hpp"
 #include "net/probe_error.hpp"
 #include "net/retry.hpp"
+#include "net/survey.hpp"
 #include "net/vantage.hpp"
 #include "tls/serverhello.hpp"
 #include "x509/certificate.hpp"
@@ -91,6 +88,10 @@ struct MultiVantageResult {
   /// favour of New York, the paper's primary vantage; then by enum order).
   /// kNone when every vantage succeeded.
   ProbeError majority_error() const;
+
+  /// Stage-span failure tag: majority_error()'s name when no vantage
+  /// answered, empty otherwise.
+  std::string failure_tag() const;
 };
 
 /// How a survey degraded under failure: the §5.1 funnel bookkeeping.
@@ -157,11 +158,10 @@ class TlsProber {
 
   /// Worker threads for survey()/survey_report(). 1 (the default) walks
   /// the survey sequentially on the calling thread; N > 1 shards SNI
-  /// groups across a work-stealing pool; 0 asks the hardware. Whatever the
-  /// value, the report is bit-identical to the sequential walk as long as
-  /// the retry budget does not exhaust mid-survey and the fault spec uses
-  /// no outage windows (see README "Parallelism" for why those two are
-  /// walk-order-dependent).
+  /// groups across a work-stealing pool; 0 asks the hardware. A finite
+  /// retry budget always walks sequentially (see net/survey.hpp). Whatever
+  /// the value, the report is bit-identical to the sequential walk as long
+  /// as the fault spec uses no outage windows (see README "Parallelism").
   void set_jobs(int jobs) { jobs_ = jobs; }
   int jobs() const { return jobs_; }
 
@@ -178,20 +178,19 @@ class TlsProber {
   /// survey() plus the degradation summary and breaker bookkeeping.
   SurveyReport survey_report(const std::vector<std::string>& snis) const;
 
+  /// The survey engine's per-SNI callback: all vantage points in order,
+  /// gated and accounted by `shard`.
+  MultiVantageResult survey_one(const std::string& sni,
+                                SurveyShard<DegradationSummary>& shard) const;
+
  private:
   /// One connection attempt, no retries — the seed prober's body.
   ProbeResult probe_once(const std::string& sni, VantagePoint vantage) const;
-  /// Full retry loop. `budget` (nullable) is the survey's shared retry
-  /// token bucket; `summary` (nullable) accumulates degradation stats.
+  /// Full retry loop. `budget` (nullable) is the survey's retry budget;
+  /// `summary` (nullable) accumulates degradation stats.
   ProbeResult probe_with_retries(const std::string& sni, VantagePoint vantage,
                                  RetryBudget* budget,
                                  DegradationSummary* summary) const;
-  /// One survey occurrence of `sni`: all vantage points in order, gated by
-  /// that SNI's breaker. `summary` gains only per-probe (additive) fields;
-  /// per-SNI classification happens at merge time.
-  MultiVantageResult survey_one(const std::string& sni, CircuitBreaker& breaker,
-                                RetryBudget& budget,
-                                DegradationSummary& summary) const;
 
   const Internet* internet_;
   RetryPolicy retry_;

@@ -71,7 +71,8 @@ struct RetryPolicy {
 
   /// Survey-wide cap on *extra* attempts (retries). Once a survey has
   /// consumed the budget, remaining probes run single-attempt. Guards a
-  /// survey of mostly-dead hosts against attempt amplification.
+  /// survey of mostly-dead hosts against attempt amplification. UINT64_MAX
+  /// is unlimited; a finite budget makes the survey walk sequentially.
   std::uint64_t retry_budget = UINT64_MAX;
 
   /// Only transient network categories are retried; definitive server
@@ -84,33 +85,25 @@ struct RetryPolicy {
   std::uint64_t backoff_ms(int k, const std::string& sni, VantagePoint vantage) const;
 };
 
-/// Survey-wide retry allowance as an atomic token bucket: a budget of K
-/// tokens permits exactly K extra attempts across all (SNI, vantage) spans
-/// — never K−1 (a token checked is a token spent only on success) and
-/// never K+1 (acquisition is a single CAS, so two workers can't both spend
-/// the last token, and an empty bucket can't underflow back to "huge").
+/// Survey-wide retry allowance: a budget of K tokens permits exactly K
+/// extra attempts across all (SNI, vantage) probes of one survey. A plain
+/// counter — the survey engine spends a finite budget on one thread, in
+/// input order (net/survey.hpp).
 class RetryBudget {
  public:
   explicit RetryBudget(std::uint64_t tokens) : tokens_(tokens) {}
 
-  /// Take one token; false when the bucket is empty.
+  /// Take one token; false when the budget is spent.
   bool try_acquire() {
-    std::uint64_t have = tokens_.load(std::memory_order_relaxed);
-    while (have > 0) {
-      if (tokens_.compare_exchange_weak(have, have - 1,
-                                        std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
+    if (tokens_ == 0) return false;
+    --tokens_;
+    return true;
   }
 
-  std::uint64_t remaining() const {
-    return tokens_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t remaining() const { return tokens_; }
 
  private:
-  std::atomic<std::uint64_t> tokens_;
+  std::uint64_t tokens_;
 };
 
 /// Per-SNI circuit breaker configuration. `failure_threshold == 0`

@@ -1,10 +1,8 @@
 #include "net/stack_fingerprint.hpp"
 
 #include <cstdio>
-#include <map>
 
 #include "crypto/sha256.hpp"
-#include "exec/pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tls/alert.hpp"
@@ -25,32 +23,6 @@ std::string hex4(std::uint16_t v) {
   char buf[5];
   std::snprintf(buf, sizeof buf, "%04x", v);
   return buf;
-}
-
-/// "x|<category>" slug for a failed connection, mirroring ProbeError names.
-std::string failure_canonical(NetError::Kind kind) {
-  switch (kind) {
-    case NetError::Kind::kNoRoute: return "x|dns";
-    case NetError::Kind::kTimeout: return "x|timeout";
-    case NetError::Kind::kConnect: return "x|connect";
-    case NetError::Kind::kProtocol: return "x|connect";
-  }
-  return "x|connect";
-}
-
-bool retryable_kind(NetError::Kind kind) {
-  return kind == NetError::Kind::kTimeout || kind == NetError::Kind::kConnect;
-}
-
-/// A response was elicited (ServerHello, alert, even garbage) — anything
-/// that is not a connection-level failure or a breaker skip.
-bool canonical_answered(const std::string& canonical) {
-  return canonical.rfind("x|", 0) != 0;
-}
-
-bool canonical_connectivity_failure(const std::string& canonical) {
-  return canonical == "x|dns" || canonical == "x|timeout" ||
-         canonical == "x|connect";
 }
 
 /// Selected ALPN protocol from a ServerHello's extension 16 (RFC 7301 wire
@@ -79,9 +51,87 @@ std::uint16_t version_of_serverhello(const tls::ServerHello& sh) {
   return sh.version;
 }
 
-obs::Counter& battery_probe_counter() {
-  static obs::Counter& c = obs::metrics().counter("net.fingerprint.probes");
-  return c;
+/// One battery probe's outcome. `error` is kNone for a ServerHello and
+/// kAlert for an alert; `transient` marks retryable network weather.
+struct Outcome {
+  std::string canonical;
+  ProbeError error = ProbeError::kNone;
+  bool transient = false;
+  std::string leaf_fp;
+};
+
+/// One connection attempt with an encoded ClientHello flight.
+Outcome probe_once(const Internet& internet, BytesView flight,
+                   VantagePoint vantage, AddressFamily family) {
+  Outcome out;
+  Bytes response;
+  try {
+    response = internet.connect(vantage, family, flight);
+  } catch (const NetError& e) {
+    // Only network weather earns another attempt; dns ("no AAAA") and
+    // protocol rejections are the path's definitive answer.
+    NetFailure failure = classify(e.kind());
+    out.error = failure.error;
+    out.transient = failure.transient;
+    out.canonical = "x|" + probe_error_name(failure.error);
+    return out;
+  }
+
+  if (auto alert =
+          tls::find_alert(BytesView(response.data(), response.size()))) {
+    out.error = ProbeError::kAlert;
+    out.canonical =
+        "alert|" + std::to_string(static_cast<int>(alert->description));
+    return out;
+  }
+
+  try {
+    auto records =
+        tls::parse_records(BytesView(response.data(), response.size()));
+    Bytes handshakes = tls::handshake_payload(records);
+    auto msgs = tls::split_handshakes(
+        BytesView(handshakes.data(), handshakes.size()));
+    std::string leaf_fp;
+    for (const auto& m : msgs) {
+      Bytes framed = tls::encode_handshake(
+          m.type, BytesView(m.body.data(), m.body.size()));
+      if (m.type == tls::HandshakeType::kServerHello) {
+        auto sh =
+            tls::ServerHello::parse(BytesView(framed.data(), framed.size()));
+        std::string exts;
+        for (const tls::Extension& e : sh.extensions) {
+          if (!exts.empty()) exts += '+';
+          exts += hex4(e.type);
+        }
+        if (exts.empty()) exts = "-";
+        std::string alpn = alpn_of_serverhello(sh);
+        out.canonical = hex4(version_of_serverhello(sh)) + "|" +
+                        hex4(sh.cipher_suite) + "|" + exts + "|" +
+                        (alpn.empty() ? "-" : alpn);
+      } else if (m.type == tls::HandshakeType::kCertificate &&
+                 leaf_fp.empty()) {
+        auto cert_msg = tls::CertificateMsg::parse(
+            BytesView(framed.data(), framed.size()));
+        if (!cert_msg.chain.empty()) {
+          leaf_fp = x509::Certificate::parse(
+                        BytesView(cert_msg.chain.front().data(),
+                                  cert_msg.chain.front().size()))
+                        .fingerprint();
+        }
+      }
+    }
+    out.leaf_fp = std::move(leaf_fp);
+    if (out.canonical.empty()) {  // no ServerHello at all
+      out.error = ProbeError::kParse;
+      out.canonical = "x|parse";
+    }
+  } catch (const ParseError&) {
+    // A garbled flight is a definitive (non-retryable) observation, same
+    // as the §5 prober.
+    out.error = ProbeError::kParse;
+    out.canonical = "x|parse";
+  }
+  return out;
 }
 
 }  // namespace
@@ -211,12 +261,12 @@ void StackSurveySummary::merge(const StackSurveySummary& other) {
 
 StackFingerprint StackFingerprinter::run_battery(
     const std::string& sni, VantagePoint vantage, AddressFamily family,
-    CircuitBreaker* breaker, StackSurveySummary* summary) const {
+    SurveyShard<StackSurveySummary>& shard) const {
   // Breaker key per (SNI, family): "no AAAA" on a v4-only server must not
   // quarantine the v4 battery (and vice versa).
   const std::string breaker_key = sni + "|" + family_name(family);
+  static obs::Counter& probes = obs::metrics().counter("net.fingerprint.probes");
   Clock& clock = clock_ != nullptr ? *clock_ : own_clock_;
-  const int max_attempts = retry_.max_attempts < 1 ? 1 : retry_.max_attempts;
 
   StackFingerprint fp;
   fp.vantage = vantage;
@@ -225,110 +275,43 @@ StackFingerprint StackFingerprinter::run_battery(
 
   std::string joined;
   for (const ProbeSpec& spec : battery_) {
-    if (breaker != nullptr && !breaker->allow(breaker_key)) {
-      if (summary != nullptr) ++summary->skipped_probes;
-      if (!joined.empty()) joined += ',';
+    if (!joined.empty()) joined += ',';
+    if (!shard.breaker.allow(breaker_key)) {
+      ++shard.summary.skipped_probes;
       joined += "x|skipped";
       fp.observations.push_back({spec.name, "x|skipped", 0});
       continue;
     }
 
-    battery_probe_counter().inc();
+    probes.inc();
     Bytes hello_msg = spec.build(sni).encode();
     Bytes flight =
         tls::encode_records(tls::ContentType::kHandshake, 0x0301,
                             BytesView(hello_msg.data(), hello_msg.size()));
+    AttemptLog log;
+    Outcome seen = with_retries(
+        retry_, clock, shard.budget, sni, vantage, log, [&](int) {
+          return probe_once(*internet_, BytesView(flight.data(), flight.size()),
+                            vantage, family);
+        });
+    record_outcome(shard.breaker, breaker_key, seen.error);
 
-    std::string canonical;
-    int attempts = 0;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      attempts = attempt;
-      Bytes response;
-      try {
-        response = internet_->connect(vantage, family,
-                                      BytesView(flight.data(), flight.size()));
-      } catch (const NetError& e) {
-        canonical = failure_canonical(e.kind());
-        // Only network weather earns another attempt; dns ("no AAAA") and
-        // protocol rejections are the path's definitive answer.
-        if (retryable_kind(e.kind()) && attempt < max_attempts) {
-          if (summary != nullptr) ++summary->retries;
-          clock.sleep_ms(retry_.backoff_ms(attempt, sni, vantage));
-          continue;
-        }
-        break;
-      }
-
-      if (auto alert =
-              tls::find_alert(BytesView(response.data(), response.size()))) {
-        canonical =
-            "alert|" + std::to_string(static_cast<int>(alert->description));
-        break;
-      }
-
-      try {
-        auto records =
-            tls::parse_records(BytesView(response.data(), response.size()));
-        Bytes handshakes = tls::handshake_payload(records);
-        auto msgs = tls::split_handshakes(
-            BytesView(handshakes.data(), handshakes.size()));
-        std::string leaf_fp;
-        for (const auto& m : msgs) {
-          Bytes framed = tls::encode_handshake(
-              m.type, BytesView(m.body.data(), m.body.size()));
-          if (m.type == tls::HandshakeType::kServerHello) {
-            auto sh =
-                tls::ServerHello::parse(BytesView(framed.data(), framed.size()));
-            std::string exts;
-            for (const tls::Extension& e : sh.extensions) {
-              if (!exts.empty()) exts += '+';
-              exts += hex4(e.type);
-            }
-            if (exts.empty()) exts = "-";
-            std::string alpn = alpn_of_serverhello(sh);
-            canonical = hex4(version_of_serverhello(sh)) + "|" +
-                        hex4(sh.cipher_suite) + "|" + exts + "|" +
-                        (alpn.empty() ? "-" : alpn);
-          } else if (m.type == tls::HandshakeType::kCertificate &&
-                     leaf_fp.empty()) {
-            auto cert_msg = tls::CertificateMsg::parse(
-                BytesView(framed.data(), framed.size()));
-            if (!cert_msg.chain.empty()) {
-              leaf_fp = x509::Certificate::parse(
-                            BytesView(cert_msg.chain.front().data(),
-                                      cert_msg.chain.front().size()))
-                            .fingerprint();
-            }
-          }
-        }
-        if (canonical.empty()) canonical = "x|parse";  // no ServerHello at all
-        if (fp.leaf_fp.empty()) fp.leaf_fp = leaf_fp;
-      } catch (const ParseError&) {
-        // A garbled flight is a definitive (non-retryable) observation:
-        // kParse is outside RetryPolicy::retryable, same as the §5 prober.
-        canonical = "x|parse";
-      }
-      break;
-    }
-
-    if (summary != nullptr) {
-      ++summary->probes;
-      summary->attempts += static_cast<std::uint64_t>(attempts);
-      if (canonical_answered(canonical)) ++summary->answered_probes;
-    }
-    if (canonical_answered(canonical)) {
+    // Answered: a ServerHello or an alert came back.
+    const bool answered =
+        seen.error == ProbeError::kNone || seen.error == ProbeError::kAlert;
+    StackSurveySummary& summary = shard.summary;
+    ++summary.probes;
+    summary.attempts += static_cast<std::uint64_t>(log.attempts);
+    summary.retries += static_cast<std::uint64_t>(log.attempts - 1);
+    if (answered) {
+      ++summary.answered_probes;
       fp.answered = true;
-      if (breaker != nullptr) breaker->record_success(breaker_key);
-    } else if (breaker != nullptr &&
-               canonical_connectivity_failure(canonical)) {
-      breaker->record_failure(breaker_key);
-    } else if (breaker != nullptr) {
-      breaker->record_success(breaker_key);  // x|parse: something answered
     }
+    if (fp.leaf_fp.empty()) fp.leaf_fp = std::move(seen.leaf_fp);
 
-    if (!joined.empty()) joined += ',';
-    joined += canonical;
-    fp.observations.push_back({spec.name, std::move(canonical), attempts});
+    joined += seen.canonical;
+    fp.observations.push_back(
+        {spec.name, std::move(seen.canonical), log.attempts});
   }
 
   fp.digest = crypto::sha256_hex(
@@ -341,19 +324,20 @@ StackFingerprint StackFingerprinter::run_battery(
 StackFingerprint StackFingerprinter::fingerprint(const std::string& sni,
                                                  VantagePoint vantage,
                                                  AddressFamily family) const {
-  return run_battery(sni, vantage, family, nullptr, nullptr);
+  // A lone battery has no survey: its breaker is disabled, its accounting
+  // is dropped.
+  SurveyShard<StackSurveySummary> lone{CircuitBreaker(BreakerConfig{0, 0}), {}};
+  return run_battery(sni, vantage, family, lone);
 }
 
 ServerStackResult StackFingerprinter::fingerprint_server(
     const std::string& sni) const {
-  CircuitBreaker breaker(breaker_config_);
-  StackSurveySummary scratch;
-  return survey_one(sni, breaker, scratch);
+  SurveyShard<StackSurveySummary> shard{CircuitBreaker(breaker_config_), {}};
+  return survey_one(sni, shard);
 }
 
 ServerStackResult StackFingerprinter::survey_one(
-    const std::string& sni, CircuitBreaker& breaker,
-    StackSurveySummary& summary) const {
+    const std::string& sni, SurveyShard<StackSurveySummary>& shard) const {
   obs::TraceSpan trace_span("net.fingerprint");
   if (trace_span.active()) trace_span.detail("sni=" + sni);
 
@@ -364,8 +348,7 @@ ServerStackResult StackFingerprinter::survey_one(
   out.sni = sni;
   for (AddressFamily family : families_) {
     for (VantagePoint v : kAllVantagePoints) {
-      out.fingerprints[v][family] = run_battery(sni, v, family, &breaker,
-                                                &summary);
+      out.fingerprints[v][family] = run_battery(sni, v, family, shard);
     }
   }
   return out;
@@ -373,49 +356,13 @@ ServerStackResult StackFingerprinter::survey_one(
 
 StackSurvey StackFingerprinter::survey(
     const std::vector<std::string>& snis) const {
-  auto span = obs::tracer().span("fingerprint");
-
-  StackSurvey survey;
-  survey.results.resize(snis.size());
-  survey.summary.snis = snis.size();
-
-  // Shard by distinct SNI, first-occurrence order — the prober's pattern:
-  // all occurrences of one SNI stay in one shard (its breaker and fault
-  // attempt counters replay exactly), distinct SNIs run on any worker, and
-  // results land in pre-sized input-order slots.
-  std::vector<std::vector<std::size_t>> groups;
-  {
-    std::map<std::string, std::size_t> group_of;
-    for (std::size_t i = 0; i < snis.size(); ++i) {
-      auto [it, fresh] = group_of.emplace(snis[i], groups.size());
-      if (fresh) groups.emplace_back();
-      groups[it->second].push_back(i);
-    }
-  }
-
-  std::vector<StackSurveySummary> partials(groups.size());
-  auto run_group = [&](std::size_t g) {
-    auto shard_span = obs::tracer().span("fingerprint.shard");
-    CircuitBreaker breaker(breaker_config_);
-    for (std::size_t index : groups[g]) {
-      survey.results[index] = survey_one(snis[index], breaker, partials[g]);
-      shard_span.add_items();
-    }
-  };
-
-  const int jobs = exec::resolve_jobs(jobs_);
-  if (jobs <= 1 || groups.size() <= 1) {
-    for (std::size_t g = 0; g < groups.size(); ++g) run_group(g);
-  } else {
-    exec::ThreadPool pool(jobs);
-    pool.parallel_for(groups.size(), run_group);
-  }
-
-  for (const StackSurveySummary& partial : partials) {
-    survey.summary.merge(partial);
-  }
-  span.add_items();
-  return survey;
+  auto run = run_survey<StackSurveySummary>(
+      snis, "fingerprint", jobs_, retry_, breaker_config_,
+      [this](const std::string& sni, SurveyShard<StackSurveySummary>& shard) {
+        return survey_one(sni, shard);
+      },
+      [](const ServerStackResult&) { return std::string(); });
+  return {std::move(run.results), run.summary};
 }
 
 }  // namespace iotls::net

@@ -15,14 +15,9 @@
 // cross-checks that document against standard_battery() — the fingerprint
 // is reproducible from the doc alone.
 //
-// Determinism contract (same as TlsProber): all probes of one SNI run in
-// one shard in a fixed order (family-major, then vantage, then battery
-// index), retries draw per-(SNI, vantage, attempt) fault/jitter streams,
-// and per-shard summaries fold additively in input order — so a survey is
-// byte-identical at any --jobs level, fault injection included. The
-// survey-wide retry *budget* is deliberately not consulted (budget
-// exhaustion is walk-order dependent); only RetryPolicy::max_attempts and
-// backoff apply.
+// Surveys run on the survey engine (net/survey.hpp), all probes of one SNI
+// in a fixed order (family-major, then vantage, then battery index), so a
+// survey is byte-identical at any --jobs level, faults and budget included.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +27,7 @@
 
 #include "net/internet.hpp"
 #include "net/retry.hpp"
+#include "net/survey.hpp"
 #include "net/vantage.hpp"
 #include "tls/clienthello.hpp"
 
@@ -157,11 +153,14 @@ class StackFingerprinter {
   StackSurvey survey(const std::vector<std::string>& snis) const;
 
  private:
+  /// The battery at one (SNI, vantage, family), gated and accounted by
+  /// `shard`.
   StackFingerprint run_battery(const std::string& sni, VantagePoint vantage,
-                               AddressFamily family, CircuitBreaker* breaker,
-                               StackSurveySummary* summary) const;
-  ServerStackResult survey_one(const std::string& sni, CircuitBreaker& breaker,
-                               StackSurveySummary& summary) const;
+                               AddressFamily family,
+                               SurveyShard<StackSurveySummary>& shard) const;
+  /// The survey engine's per-SNI callback: every family x vantage.
+  ServerStackResult survey_one(const std::string& sni,
+                               SurveyShard<StackSurveySummary>& shard) const;
 
   const Internet* internet_;
   std::vector<ProbeSpec> battery_ = standard_battery();

@@ -33,7 +33,7 @@
 // for the same stage name) without contending per item. Sharing a single
 // Span object across threads is NOT supported — give each worker its own,
 // or tally in the parallel region and add_items() on the caller's span
-// after the join (what TlsProber::survey_report does to keep stage rows
+// after the join (what net::run_survey does to keep stage rows
 // deterministic). Span open/close must happen on one thread (the parent
 // link comes from that thread's span stack).
 #pragma once

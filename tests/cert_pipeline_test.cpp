@@ -25,6 +25,7 @@
 #include "core/issuers.hpp"
 #include "devicesim/fleet.hpp"
 #include "devicesim/scenario.hpp"
+#include "net/fault.hpp"
 #include "net/prober.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -281,9 +282,10 @@ struct RefDataset {
 };
 
 RefDataset ref_collect(const ClientDataset& client,
-                       const devicesim::SimWorld& world, std::size_t min_users) {
+                       const devicesim::SimWorld& world,
+                       const net::Internet& internet, std::size_t min_users) {
   RefDataset ds;
-  net::TlsProber prober(world.internet);
+  net::TlsProber prober(internet);
   for (const auto& [sni, users] : client.sni_users()) {
     if (users.size() < min_users) continue;
     ++ds.extracted;
@@ -619,7 +621,7 @@ CtReport ref_ct_report(const CertDataset& certs, const devicesim::SimWorld& worl
 
 TEST(CertPipelineIdentity, CollectMatchesSeedAtEveryJobsLevel) {
   const auto& f = fixture();
-  RefDataset ref = ref_collect(f.client, f.world, 1);
+  RefDataset ref = ref_collect(f.client, f.world, f.world.internet, 1);
   std::string want =
       dataset_json(ref.records, ref.leaves, ref.extracted, ref.reachable).dump();
 
@@ -631,6 +633,23 @@ TEST(CertPipelineIdentity, CollectMatchesSeedAtEveryJobsLevel) {
   x509::ValidationCache cache;
   auto j8c = CertDataset::collect(f.client, f.world, 1, 8, &cache);
   EXPECT_EQ(dataset_json(j8c).dump(), want);
+
+  // Under faults, each side walks its own fresh injector: the reference's
+  // fault-attempt order is the one collect must reproduce at every jobs
+  // level.
+  const net::FaultSpec spec = net::FaultSpec::parse("seed=7,timeout=0.2");
+  net::FaultInjector ref_injector(f.world.internet, spec);
+  RefDataset faulted = ref_collect(f.client, f.world, ref_injector, 1);
+  ASSERT_LT(faulted.reachable, ref.reachable);  // the faults bite
+  std::string want_faulted = dataset_json(faulted.records, faulted.leaves,
+                                          faulted.extracted, faulted.reachable)
+                                 .dump();
+  for (int jobs : {1, 8}) {
+    net::FaultInjector injector(f.world.internet, spec);
+    auto got = CertDataset::collect(f.client, f.world, 1, jobs, nullptr,
+                                    &injector);
+    EXPECT_EQ(dataset_json(got).dump(), want_faulted) << "jobs=" << jobs;
+  }
 }
 
 TEST(CertPipelineIdentity, ValidateMatchesSeedAtEveryJobsLevel) {

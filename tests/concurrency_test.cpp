@@ -5,10 +5,10 @@
 //  1. Determinism: a survey at --jobs 8 serializes to the byte-identical
 //     report of the --jobs 1 walk, including under 20% injected timeouts
 //     with retries — and so do the §4 dataset build and corpus matching.
-//  2. Safety under contention: the shared retry budget spends exactly K
-//     tokens survey-wide no matter how many workers race for the last one,
-//     and breaker-skipped probes keep the quarantine invariant
-//     (attempts == 0) on every shard.
+//  2. Budget exactness: a retry budget of K spends exactly K tokens
+//     survey-wide at any jobs level, and a survey that exhausts it is
+//     byte-identical to the --jobs 1 walk; breaker-skipped probes keep
+//     the quarantine invariant (attempts == 0) on every shard.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -177,6 +177,36 @@ TEST(ParallelSurvey, ZeroBudgetMeansZeroRetriesOnEveryWorker) {
   EXPECT_EQ(report.summary.retries, 0u);
   EXPECT_EQ(report.summary.attempts, 8u * 3u);
   EXPECT_GT(report.summary.budget_denied, 0u);
+}
+
+TEST(ParallelSurvey, ExhaustingBudgetIsByteIdenticalAcrossJobs) {
+  // Which probe gets the last token depends on walk order, so a survey
+  // whose budget runs out mid-walk must spend it exactly as --jobs 1 does.
+  auto ca = concurrency_ca();
+  Fleet fleet = make_fleet(64, ca);
+  const FaultSpec spec = FaultSpec::parse("seed=7,timeout=0.2");
+
+  RetryPolicy retry;
+  retry.max_attempts = 4;
+  retry.base_backoff_ms = 10;
+  retry.retry_budget = 12;  // demand is several times this
+
+  auto run = [&](int jobs) {
+    FaultInjector injector(fleet.internet, spec);
+    TlsProber prober(injector);
+    prober.set_retry_policy(retry);
+    prober.set_jobs(jobs);
+    return prober.survey_report(fleet.snis);
+  };
+
+  const SurveyReport sequential = run(1);
+  ASSERT_EQ(sequential.summary.retries, 12u);
+  ASSERT_GT(sequential.summary.budget_denied, 0u);
+  const std::string want = survey_report_dump(sequential);
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    // A bool check: a mismatch would otherwise print two full dumps.
+    EXPECT_TRUE(survey_report_dump(run(8)) == want) << "repeat " << repeat;
+  }
 }
 
 // ------------------------------------------------- quarantine invariant

@@ -2,6 +2,11 @@
 // stage tracing, and the prober's failure-category instrumentation.
 #include <gtest/gtest.h>
 
+#include "core/cert_dataset.hpp"
+#include "core/dataset.hpp"
+#include "corpus/corpus.hpp"
+#include "devicesim/fleet.hpp"
+#include "devicesim/scenario.hpp"
 #include "net/internet.hpp"
 #include "net/prober.hpp"
 #include "obs/json.hpp"
@@ -417,6 +422,51 @@ TEST(ProberMetrics, SurveySpanRecordsItemsAndFailureReasons) {
   EXPECT_EQ(probe_stats->items, 2u);
   EXPECT_EQ(probe_stats->failures, 1u);
   EXPECT_EQ(probe_stats->failure_reasons.at("dns"), 1u);
+
+  // The §5.1 harvest runs on the same engine: one `probe` call per
+  // collect (no second span around the engine's), one item per SNI it
+  // probed, and a tag per SNI no vantage reached.
+  corpus::LibraryCorpus corpus = corpus::LibraryCorpus::standard();
+  devicesim::ServerUniverse universe = devicesim::ServerUniverse::standard();
+  devicesim::FleetConfig config;
+  config.users = 40;
+  config.cover_all_snis = false;
+  core::ClientDataset client = core::ClientDataset::from_fleet(
+      devicesim::generate_fleet(config, corpus, universe));
+  devicesim::SimWorld world = devicesim::build_world(universe);
+
+  tr.reset();
+  core::ProbeMemo memo;
+  auto cold = core::CertDataset::collect(client, world, 1, 4, nullptr, nullptr,
+                                         &memo);
+  auto probe_row = [&] {
+    for (const auto& [stage, stats] : tr.snapshot()) {
+      if (stage == "probe") return stats;
+    }
+    return StageStats{};
+  };
+  StageStats harvest = probe_row();
+  EXPECT_EQ(harvest.calls, 1u);
+  EXPECT_EQ(harvest.items, cold.extracted_snis());
+  std::uint64_t unreachable = 0;
+  for (const core::SniRecord& record : cold.records()) {
+    bool none = true;
+    for (const auto& [vantage, leaf] : record.leaf_by_vantage) {
+      if (leaf.has_value()) none = false;
+    }
+    if (none && !record.reachable) ++unreachable;
+  }
+  EXPECT_GT(unreachable, 0u);
+  EXPECT_EQ(harvest.failures, unreachable);
+  std::uint64_t tagged = 0;
+  for (const auto& [reason, n] : harvest.failure_reasons) tagged += n;
+  EXPECT_EQ(tagged, harvest.failures);
+
+  // A fully memoized collect probes nothing but still owns one row.
+  core::CertDataset::collect(client, world, 1, 4, nullptr, nullptr, &memo);
+  harvest = probe_row();
+  EXPECT_EQ(harvest.calls, 2u);
+  EXPECT_EQ(harvest.items, cold.extracted_snis());
 }
 
 // -------------------------------------------------------- string escaping

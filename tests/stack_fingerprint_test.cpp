@@ -351,12 +351,13 @@ TEST(StackFingerprinter, FaultySurveyIsByteIdenticalAcrossJobsWithRetries) {
   // no truncate/garble here — kParse outcomes are definitive, not retried.
   const FaultSpec spec = FaultSpec::parse("seed=7,timeout=0.2,reset=0.1");
 
-  auto run = [&](int jobs) {
+  auto run = [&](int jobs, std::uint64_t budget = UINT64_MAX) {
     FaultInjector injector(fixture().world.internet, spec);
     StackFingerprinter fp(injector);
     fp.set_families({AddressFamily::kIPv4, AddressFamily::kIPv6});
     RetryPolicy retry;
     retry.max_attempts = 3;
+    retry.retry_budget = budget;
     fp.set_retry_policy(retry);
     fp.set_jobs(jobs);
     return fp.survey(snis);
@@ -366,6 +367,13 @@ TEST(StackFingerprinter, FaultySurveyIsByteIdenticalAcrossJobsWithRetries) {
   EXPECT_GT(baseline.summary.retries, 0u) << "fault spec should force retries";
   EXPECT_GT(baseline.summary.attempts, baseline.summary.probes);
   EXPECT_EQ(serialize(baseline), serialize(run(8)));
+
+  // A budget below demand is spent exactly, and identically at every jobs
+  // level.
+  const std::uint64_t budget = baseline.summary.retries / 2;
+  StackSurvey capped = run(1, budget);
+  EXPECT_EQ(capped.summary.retries, budget);
+  EXPECT_EQ(serialize(capped), serialize(run(8, budget)));
 }
 
 TEST(StackFingerprinter, BatteryPrefixChangesDigest) {
