@@ -3,6 +3,9 @@
 // encode/parse/validation, Merkle proofs, pcap extraction.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <random>
+
 #include "common.hpp"
 #include "core/semantic.hpp"
 #include "core/sharing.hpp"
@@ -109,19 +112,69 @@ void BM_ChainValidation(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainValidation);
 
-void BM_MerkleInclusionProof(benchmark::State& state) {
-  ct::MerkleTree tree;
-  for (int i = 0; i < 1024; ++i) {
-    std::string entry = "entry" + std::to_string(i);
-    tree.append(BytesView(reinterpret_cast<const std::uint8_t*>(entry.data()),
-                          entry.size()));
+// One tree per size, built once per process so repetitions measure the
+// proofs alone. 1,000,000 is not a power of two, so its proofs cross the
+// non-perfect right edge.
+const ct::MerkleTree& merkle_tree(std::uint64_t leaves) {
+  static std::map<std::uint64_t, ct::MerkleTree> trees;
+  auto [it, inserted] = trees.try_emplace(leaves);
+  if (inserted) {
+    for (std::uint64_t i = 0; i < leaves; ++i) {
+      std::string entry = "entry" + std::to_string(i);
+      it->second.append(BytesView(
+          reinterpret_cast<const std::uint8_t*>(entry.data()), entry.size()));
+    }
   }
-  std::uint64_t index = 0;
+  return it->second;
+}
+
+/// The tree for the benchmark's size, or nullptr (and the run skipped) if
+/// it is empty; sets the `leaves` counter.
+const ct::MerkleTree* merkle_workload(benchmark::State& state) {
+  const ct::MerkleTree& tree =
+      merkle_tree(static_cast<std::uint64_t>(state.range(0)));
+  state.counters["leaves"] = static_cast<double>(tree.size());
+  if (tree.size() == 0) {
+    state.SkipWithError("empty Merkle tree");
+    return nullptr;
+  }
+  return &tree;
+}
+
+void BM_MerkleInclusionProof(benchmark::State& state) {
+  const ct::MerkleTree* tree = merkle_workload(state);
+  if (!tree) return;
+  const std::uint64_t n = tree->size();
+  std::mt19937_64 rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.inclusion_proof(index++ % 1024, 1024));
+    benchmark::DoNotOptimize(tree->inclusion_proof(rng() % n, n));
   }
 }
-BENCHMARK(BM_MerkleInclusionProof);
+BENCHMARK(BM_MerkleInclusionProof)->Arg(1024)->Arg(1000000);
+
+void BM_MerkleConsistencyProof(benchmark::State& state) {
+  const ct::MerkleTree* tree = merkle_workload(state);
+  if (!tree) return;
+  const std::uint64_t n = tree->size();
+  std::mt19937_64 rng(2);
+  for (auto _ : state) {
+    std::uint64_t first = 1 + rng() % n;
+    std::uint64_t second = first + rng() % (n - first + 1);
+    benchmark::DoNotOptimize(tree->consistency_proof(first, second));
+  }
+}
+BENCHMARK(BM_MerkleConsistencyProof)->Arg(1024)->Arg(1000000);
+
+void BM_MerkleHistoricalRoot(benchmark::State& state) {
+  const ct::MerkleTree* tree = merkle_workload(state);
+  if (!tree) return;
+  const std::uint64_t n = tree->size();
+  std::mt19937_64 rng(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree->root(1 + rng() % n));
+  }
+}
+BENCHMARK(BM_MerkleHistoricalRoot)->Arg(1024)->Arg(1000000);
 
 void BM_PcapExtractHellos(benchmark::State& state) {
   // One flow carrying a ClientHello, framed and pcap-encoded.

@@ -5,13 +5,15 @@
 # retry/breaker state machines, the fault-injection paths and the parallel
 # executor are sanitizer-clean on every change — and requires a
 # fault-injected survey that exhausts its retry budget to print the same
-# bytes at --jobs 1 and --jobs 4. A perf phase then runs the
-# pipeline benchmark suites (optimized build, 5 repetitions) and writes the
-# aggregates to BENCH_pipeline.json / BENCH_certs.json, so perf regressions
-# in the interned analysis core and the §5 certificate pipeline are visible
-# per change. An observability phase then starts `iotls_probe --serve` on an
-# ephemeral port, scrapes /healthz and /metrics mid-survey, validates the
-# exposition grammar and the scrape-vs-stats counter parity, and writes
+# bytes at --jobs 1 and --jobs 4. A perf phase then runs the perf-labelled
+# suites (index, cache and Merkle byte-identity against the seed
+# restatements) and the pipeline benchmark suites (optimized build, 5
+# repetitions) and writes the aggregates to BENCH_pipeline.json /
+# BENCH_certs.json, so perf regressions in the interned analysis core and
+# the §5 certificate pipeline are visible per change. An observability
+# phase then starts `iotls_probe --serve` on an ephemeral port, scrapes
+# /healthz and /metrics mid-survey, validates the exposition grammar and
+# the scrape-vs-stats counter parity, and writes
 # scrape latency to BENCH_obs.json. A daemon phase replays an exported
 # fleet through iotlsd in three epochs and requires the live
 # /report/table04 body to be byte-identical to the batch
@@ -65,7 +67,7 @@ rm -rf "$budget_dir"
 
 cmake --preset default
 cmake --build --preset default -j"$(nproc)" \
-  --target test_perf test_cert_pipeline test_stack_fingerprint \
+  --target test_perf test_cert_pipeline test_stack_fingerprint test_ct \
   bench_perf_pipeline bench_cert_pipeline \
   iotls_probe bench_obs_overhead bench_fleet_snapshot iotlsd iotls_audit
 ctest --preset default -L perf --output-on-failure

@@ -13,11 +13,13 @@ CtLog::CtLog(std::string name) : name_(std::move(name)) {
 Bytes CtLog::log_entry(const x509::Certificate& cert) { return cert.encode(); }
 
 Sct CtLog::submit(const x509::Certificate& cert, std::int64_t timestamp) {
-  std::string fp = cert.fingerprint();
+  // One encoding serves both the fingerprint (Certificate::fingerprint() is
+  // the SHA-256 of the same bytes) and the log entry.
+  Bytes entry = log_entry(cert);
+  std::string fp = crypto::sha256_hex(BytesView(entry.data(), entry.size()));
   auto it = by_fingerprint_.find(fp);
   if (it != by_fingerprint_.end()) return it->second;
 
-  Bytes entry = log_entry(cert);
   Sct sct;
   sct.log_id = log_id_;
   sct.leaf_index = tree_.append(BytesView(entry.data(), entry.size()));

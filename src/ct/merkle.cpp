@@ -36,14 +36,27 @@ Hash node_hash(const Hash& left, const Hash& right) {
 Hash empty_tree_hash() { return crypto::sha256(BytesView{}); }
 
 std::uint64_t MerkleTree::append(BytesView entry) {
-  leaves_.push_back(leaf_hash(entry));
-  return leaves_.size() - 1;
+  if (levels_.empty()) levels_.emplace_back();
+  levels_[0].push_back(leaf_hash(entry));
+  // Carry: each completed pair on level l gets its parent on level l + 1.
+  for (std::size_t l = 0; levels_[l].size() % 2 == 0; ++l) {
+    if (l + 1 == levels_.size()) levels_.emplace_back();
+    const std::vector<Hash>& level = levels_[l];
+    levels_[l + 1].push_back(node_hash(level[level.size() - 2], level.back()));
+  }
+  return size() - 1;
 }
 
 Hash MerkleTree::subtree_root(std::uint64_t lo, std::uint64_t hi) const {
   std::uint64_t n = hi - lo;
   if (n == 0) return empty_tree_hash();
-  if (n == 1) return leaves_[lo];
+  // A perfect subtree aligned to its own size is a cached node. Every split
+  // below lands on such a node except along the one non-perfect right edge,
+  // so a call costs O(log n) node hashes.
+  if (std::has_single_bit(n) && lo % n == 0) {
+    int level = std::countr_zero(n);
+    return levels_[static_cast<std::size_t>(level)][lo >> level];
+  }
   std::uint64_t k = split_point(n);
   return node_hash(subtree_root(lo, lo + k), subtree_root(lo + k, hi));
 }
@@ -57,21 +70,26 @@ std::vector<Hash> MerkleTree::inclusion_proof(std::uint64_t leaf_index,
                                               std::uint64_t tree_size) const {
   if (tree_size > size() || leaf_index >= tree_size)
     throw std::out_of_range("MerkleTree::inclusion_proof: bad indices");
-  std::vector<Hash> proof;
-  // RFC 6962 PATH(m, D[lo:hi]), iterative over the recursion.
-  std::uint64_t lo = 0, hi = tree_size, m = leaf_index;
-  std::vector<Hash> reversed;
+  // RFC 6962 PATH(m, D[lo:hi]), iterative over the recursion. The walk
+  // visits the path root-first, so the proof fills from the back. Its
+  // length is one node per level below the split where leaf m and the last
+  // leaf part, plus one per set bit of m above it (m in a right subtree).
+  std::uint64_t m = leaf_index;
+  int inner = std::bit_width(m ^ (tree_size - 1));
+  std::vector<Hash> proof(
+      static_cast<std::size_t>(inner + std::popcount(m >> inner)));
+  auto out = proof.rbegin();
+  std::uint64_t lo = 0, hi = tree_size;
   while (hi - lo > 1) {
     std::uint64_t k = split_point(hi - lo);
     if (m - lo < k) {
-      reversed.push_back(subtree_root(lo + k, hi));
+      *out++ = subtree_root(lo + k, hi);
       hi = lo + k;
     } else {
-      reversed.push_back(subtree_root(lo, lo + k));
+      *out++ = subtree_root(lo, lo + k);
       lo = lo + k;
     }
   }
-  proof.assign(reversed.rbegin(), reversed.rend());
   return proof;
 }
 
@@ -79,29 +97,38 @@ std::vector<Hash> MerkleTree::consistency_proof(std::uint64_t first,
                                                 std::uint64_t second) const {
   if (first == 0 || first > second || second > size())
     throw std::out_of_range("MerkleTree::consistency_proof: bad sizes");
-  // RFC 6962 SUBPROOF(m, D[lo:hi], b), iterative with a tail of node hashes
-  // accumulated in reverse.
-  std::vector<Hash> reversed;
+  if (first == second) return {};
+  // RFC 6962 SUBPROOF(m, D[lo:hi], b), iterative, filling the proof from the
+  // back. Its length is the inclusion-path length of leaf first - 1 in the
+  // second tree, less the levels inside the perfect subtree that ends at
+  // first, plus that subtree's root unless it is the whole first tree.
+  std::uint64_t last = first - 1;
+  int inner = std::bit_width(last ^ (second - 1));
+  int shift = std::countr_zero(first);
+  std::vector<Hash> proof(static_cast<std::size_t>(
+      (std::has_single_bit(first) ? 0 : 1) + inner - shift +
+      std::popcount(last >> inner)));
+  auto out = proof.rbegin();
   std::uint64_t lo = 0, hi = second, m = first;
   bool b = true;
   while (true) {
     std::uint64_t n = hi - lo;
     if (m == n) {
-      if (!b) reversed.push_back(subtree_root(lo, hi));
+      if (!b) *out++ = subtree_root(lo, hi);
       break;
     }
     std::uint64_t k = split_point(n);
     if (m <= k) {
-      reversed.push_back(subtree_root(lo + k, hi));
+      *out++ = subtree_root(lo + k, hi);
       hi = lo + k;
     } else {
-      reversed.push_back(subtree_root(lo, lo + k));
+      *out++ = subtree_root(lo, lo + k);
       lo = lo + k;
       m -= k;
       b = false;
     }
   }
-  return std::vector<Hash>(reversed.rbegin(), reversed.rend());
+  return proof;
 }
 
 bool verify_inclusion(const Hash& leaf, std::uint64_t leaf_index,

@@ -23,13 +23,17 @@ Hash leaf_hash(BytesView entry);
 Hash node_hash(const Hash& left, const Hash& right);
 Hash empty_tree_hash();
 
-/// An append-only Merkle tree over opaque entries.
+/// An append-only Merkle tree over opaque entries. It caches every perfect
+/// subtree root, so root(n) for any historical n and both proof kinds cost
+/// O(log n) node hashes, and append costs one node hash amortised.
 class MerkleTree {
  public:
   /// Append an entry; returns its leaf index.
   std::uint64_t append(BytesView entry);
 
-  std::uint64_t size() const { return leaves_.size(); }
+  std::uint64_t size() const {
+    return levels_.empty() ? 0 : levels_.front().size();
+  }
 
   /// Merkle tree head over the first `n` leaves (n <= size()); with n == 0
   /// returns empty_tree_hash().
@@ -49,7 +53,11 @@ class MerkleTree {
  private:
   Hash subtree_root(std::uint64_t lo, std::uint64_t hi) const;  // [lo, hi)
 
-  std::vector<Hash> leaves_;  // leaf hashes
+  // levels_[l][i] is the root of the perfect subtree over leaves
+  // [i * 2^l, (i + 1) * 2^l); levels_[0] holds the leaf hashes. Every
+  // complete pair on a level has its parent on the next, so level l always
+  // holds size() >> l nodes (at most 2x the leaf storage in total).
+  std::vector<std::vector<Hash>> levels_;
 };
 
 /// RFC 9162 §2.1.3.2 verification: does `proof` place the entry with

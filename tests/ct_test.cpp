@@ -1,7 +1,10 @@
 // Tests for the Certificate Transparency substrate (Merkle tree + logs).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
 #include <string>
+#include <utility>
 
 #include "ct/ctlog.hpp"
 #include "ct/merkle.hpp"
@@ -164,6 +167,216 @@ TEST(Merkle, ConsistencySameSizeEmptyProof) {
   auto proof = t.consistency_proof(6, 6);
   EXPECT_TRUE(proof.empty());
   EXPECT_TRUE(verify_consistency(6, 6, t.root(), t.root(), proof));
+}
+
+// ------------------------------------------- RFC 6962 known answers
+
+// The certificate-transparency reference leaves and their tree heads for
+// sizes 1..8, fixed vectors independent of this implementation.
+TEST(Merkle, Rfc6962ReferenceRoots) {
+  const char* leaves[] = {"",         "00",       "10",
+                          "2021",     "3031",     "40414243",
+                          "5051525354555657",
+                          "606162636465666768696a6b6c6d6e6f"};
+  const char* heads[] = {
+      "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+      "fac54203e7cc696cf0dfcb42c92a1d9dbaf70ad9e621f4bd8d98662f00e3c125",
+      "aeb6bcfe274b70a14fb067a5e5578264db0fa9b51af5e0ba159158f329e06e77",
+      "d37ee418976dd95753c1c73862b9398fa2a2cf9b4ff0fdfe8b30cd95209614b7",
+      "4e3bbb1f7b478dcfe71fb631631519a3bca12c9aefca1612bfce4c13a86264d4",
+      "76e67dadbcdf1e10e1b74ddc608abd2f98dfb16fbce75277b5232a127f2087ef",
+      "ddb89be403809e325750d3d263cd78929c2942b7942a34b77e122c9594a74c8c",
+      "5dc9da79a70659a9ad559cb701ded9a2ab9d823aad2f4960cfe370eff4604328"};
+  MerkleTree t;
+  for (std::size_t i = 0; i < 8; ++i) {
+    t.append(view(from_hex(leaves[i])));
+    Hash head = t.root();
+    EXPECT_EQ(to_hex(BytesView(head.data(), head.size())), heads[i])
+        << "size " << i + 1;
+  }
+  // Historical heads survive growth.
+  for (std::uint64_t n = 1; n <= 8; ++n) {
+    Hash head = t.root(n);
+    EXPECT_EQ(to_hex(BytesView(head.data(), head.size())), heads[n - 1]);
+  }
+}
+
+// ------------------------------------------- seed reference algorithms
+// Verbatim re-statements of the pre-cache implementations, which rebuilt
+// every subtree from the leaf hashes on each call.
+
+std::uint64_t ref_split_point(std::uint64_t n) {
+  return std::uint64_t{1} << (std::bit_width(n - 1) - 1);
+}
+
+Hash ref_subtree_root(const std::vector<Hash>& leaves, std::uint64_t lo,
+                      std::uint64_t hi) {
+  std::uint64_t n = hi - lo;
+  if (n == 0) return empty_tree_hash();
+  if (n == 1) return leaves[lo];
+  std::uint64_t k = ref_split_point(n);
+  return node_hash(ref_subtree_root(leaves, lo, lo + k),
+                   ref_subtree_root(leaves, lo + k, hi));
+}
+
+std::vector<Hash> ref_inclusion_proof(const std::vector<Hash>& leaves,
+                                      std::uint64_t leaf_index,
+                                      std::uint64_t tree_size) {
+  std::vector<Hash> proof;
+  std::uint64_t lo = 0, hi = tree_size, m = leaf_index;
+  std::vector<Hash> reversed;
+  while (hi - lo > 1) {
+    std::uint64_t k = ref_split_point(hi - lo);
+    if (m - lo < k) {
+      reversed.push_back(ref_subtree_root(leaves, lo + k, hi));
+      hi = lo + k;
+    } else {
+      reversed.push_back(ref_subtree_root(leaves, lo, lo + k));
+      lo = lo + k;
+    }
+  }
+  proof.assign(reversed.rbegin(), reversed.rend());
+  return proof;
+}
+
+std::vector<Hash> ref_consistency_proof(const std::vector<Hash>& leaves,
+                                        std::uint64_t first,
+                                        std::uint64_t second) {
+  std::vector<Hash> reversed;
+  std::uint64_t lo = 0, hi = second, m = first;
+  bool b = true;
+  while (true) {
+    std::uint64_t n = hi - lo;
+    if (m == n) {
+      if (!b) reversed.push_back(ref_subtree_root(leaves, lo, hi));
+      break;
+    }
+    std::uint64_t k = ref_split_point(n);
+    if (m <= k) {
+      reversed.push_back(ref_subtree_root(leaves, lo + k, hi));
+      hi = lo + k;
+    } else {
+      reversed.push_back(ref_subtree_root(leaves, lo, lo + k));
+      lo = lo + k;
+      m -= k;
+      b = false;
+    }
+  }
+  return std::vector<Hash>(reversed.rbegin(), reversed.rend());
+}
+
+Bytes id_entry(std::uint64_t i) { return entry("id" + std::to_string(i)); }
+
+/// Appends entries [t.size(), n) to `t` and their leaf hashes to `leaves`.
+void grow(MerkleTree& t, std::vector<Hash>& leaves, std::uint64_t n) {
+  for (std::uint64_t i = t.size(); i < n; ++i) {
+    Bytes e = id_entry(i);
+    t.append(view(e));
+    leaves.push_back(leaf_hash(view(e)));
+  }
+}
+
+/// Checks root(n), inclusion_proof(m, n) and consistency_proof(a, n) against
+/// the seed reference for `samples` draws of m and a (every m and a when
+/// samples == 0), plus the edge indices.
+void expect_matches_seed(const MerkleTree& t, const std::vector<Hash>& leaves,
+                         std::uint64_t n, int samples, std::mt19937_64& rng) {
+  ASSERT_LE(n, t.size());
+  EXPECT_EQ(t.root(n), ref_subtree_root(leaves, 0, n)) << "n=" << n;
+  if (n == 0) return;
+  std::vector<std::uint64_t> ms;
+  if (samples == 0) {
+    for (std::uint64_t m = 0; m < n; ++m) ms.push_back(m);
+  } else {
+    ms = {0, n / 2, n - 1};
+    for (int i = 0; i < samples; ++i) ms.push_back(rng() % n);
+  }
+  for (std::uint64_t m : ms) {
+    EXPECT_EQ(t.inclusion_proof(m, n), ref_inclusion_proof(leaves, m, n))
+        << "m=" << m << " n=" << n;
+    std::uint64_t a = m + 1;  // every a in [1, n] when samples == 0
+    EXPECT_EQ(t.consistency_proof(a, n), ref_consistency_proof(leaves, a, n))
+        << "first=" << a << " second=" << n;
+  }
+}
+
+TEST(MerkleSeedIdentity, EverySizeUpTo70) {
+  // Grown one leaf at a time and checked at each size, so every (m, n) and
+  // every pair a <= b <= 70 is checked while n is the tree's right edge.
+  MerkleTree t;
+  std::vector<Hash> leaves;
+  std::mt19937_64 rng(14);
+  expect_matches_seed(t, leaves, 0, 0, rng);
+  for (std::uint64_t n = 1; n <= 70; ++n) {
+    grow(t, leaves, n);
+    expect_matches_seed(t, leaves, n, 0, rng);
+  }
+  // And again for every historical size of the full tree.
+  for (std::uint64_t n = 1; n <= 70; ++n)
+    expect_matches_seed(t, leaves, n, 0, rng);
+}
+
+TEST(MerkleSeedIdentity, SampledAtLargeSizes) {
+  MerkleTree t;
+  std::vector<Hash> leaves;
+  std::mt19937_64 rng(1023);
+  for (std::uint64_t n : {1023u, 1024u, 1025u, 4097u}) {
+    grow(t, leaves, n);
+    expect_matches_seed(t, leaves, n, 24, rng);
+  }
+  for (std::uint64_t n : {1u, 2u, 1023u, 1024u, 1025u, 2048u, 3000u})
+    expect_matches_seed(t, leaves, n, 8, rng);
+}
+
+TEST(MerkleSeedIdentity, CopiedAndMovedTreesKeepWorking) {
+  MerkleTree t;
+  std::vector<Hash> leaves;
+  std::mt19937_64 rng(7);
+  grow(t, leaves, 37);
+
+  // A copy answers as the original and grows independently of it.
+  MerkleTree copy = t;
+  std::vector<Hash> copy_leaves = leaves;
+  grow(copy, copy_leaves, 70);
+  EXPECT_EQ(t.size(), 37u);
+  expect_matches_seed(t, leaves, 37, 0, rng);
+  expect_matches_seed(copy, copy_leaves, 70, 0, rng);
+  expect_matches_seed(copy, copy_leaves, 37, 0, rng);
+
+  // Move construction leaves the source an empty, usable tree.
+  MerkleTree moved = std::move(copy);
+  EXPECT_EQ(copy.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy.root(), empty_tree_hash());
+  copy.append(view(id_entry(0)));
+  EXPECT_EQ(copy.root(), leaf_hash(view(id_entry(0))));
+  grow(moved, copy_leaves, 100);
+  expect_matches_seed(moved, copy_leaves, 100, 0, rng);
+
+  // Move assignment over a populated tree, as a log that rebuilds does.
+  MerkleTree fresh;
+  std::vector<Hash> fresh_leaves;
+  grow(fresh, fresh_leaves, 33);
+  t = std::move(fresh);
+  EXPECT_EQ(t.size(), 33u);
+  grow(t, fresh_leaves, 65);
+  expect_matches_seed(t, fresh_leaves, 65, 0, rng);
+  expect_matches_seed(t, fresh_leaves, 33, 0, rng);
+
+  // Copy assignment, then both sides grow.
+  MerkleTree assigned;
+  assigned = t;
+  std::vector<Hash> assigned_leaves = fresh_leaves;
+  grow(assigned, assigned_leaves, 80);
+  grow(t, fresh_leaves, 66);
+  expect_matches_seed(assigned, assigned_leaves, 80, 0, rng);
+  expect_matches_seed(t, fresh_leaves, 66, 0, rng);
+
+  // A default-constructed tree is the empty log.
+  MerkleTree empty;
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.root(), empty_tree_hash());
+  EXPECT_THROW(empty.inclusion_proof(0, 0), std::out_of_range);
+  EXPECT_THROW(empty.consistency_proof(1, 1), std::out_of_range);
 }
 
 // -------------------------------------------------- CT log
