@@ -12,9 +12,11 @@ int main() {
   bench::banner("Fig. 10", "degree of customization across devices, per vendor");
 
   auto per_device = core::doc_per_device(ctx.client);
+  const core::DatasetIndex& ix = ctx.client.index();
   std::map<std::string, std::vector<double>> by_vendor;
   for (const auto& [device, doc] : per_device) {
-    by_vendor[ctx.client.device_vendor().at(device)].push_back(doc);
+    by_vendor[ix.vendors().str(ix.device_vendor(ix.devices().find(device)))]
+        .push_back(doc);
   }
 
   std::vector<std::pair<std::string, report::Summary>> rows;

@@ -229,31 +229,6 @@ void BM_VendorJaccard64x1k(benchmark::State& state) {
 }
 BENCHMARK(BM_VendorJaccard64x1k)->Unit(benchmark::kMillisecond);
 
-// Reference implementation of the pre-index algorithm: pairwise
-// std::set<std::string> intersection over the compatibility views. Kept in
-// the binary so the speedup of BM_VendorJaccard64x1k is always measurable
-// against the same build and inputs.
-void BM_VendorJaccardStringSets(benchmark::State& state) {
-  const auto& ds = SyntheticContext::get().client;
-  const auto& vendor_fps = ds.vendor_fps();
-  for (auto _ : state) {
-    std::vector<core::VendorSimilarity> out;
-    for (auto a = vendor_fps.begin(); a != vendor_fps.end(); ++a) {
-      for (auto b = std::next(a); b != vendor_fps.end(); ++b) {
-        std::size_t inter = 0;
-        for (const auto& key : a->second)
-          if (b->second.count(key)) ++inter;
-        std::size_t uni = a->second.size() + b->second.size() - inter;
-        double jaccard = uni ? static_cast<double>(inter) / uni : 0;
-        if (jaccard >= 0.2)
-          out.push_back({a->first, b->first, jaccard, 0});
-      }
-    }
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_VendorJaccardStringSets)->Unit(benchmark::kMillisecond);
-
 void BM_ServerTied64x1k(benchmark::State& state) {
   const auto& ds = SyntheticContext::get().client;
   const auto& corpus = bench::Context::get().corpus;

@@ -34,8 +34,9 @@ int main() {
   }
 
   report::Table table({"fingerprint (ja3 of key)", "library", "supported", "devices"});
+  const core::DatasetIndex& ix = ctx.client.index();
   for (const auto& m : report.matches) {
-    table.add_row({ctx.client.fingerprints().at(m.fp_key).ja3(), m.library,
+    table.add_row({ix.fp_value(ix.fps().find(m.fp_key)).ja3(), m.library,
                    m.supported ? "yes" : "no", std::to_string(m.device_count)});
   }
   std::printf("\n%s", table.render().c_str());

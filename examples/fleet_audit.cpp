@@ -2,6 +2,7 @@
 // client-side analysis (§4) — library matching, customization metrics,
 // vendor sharing, vulnerability assessment.
 #include <cstdio>
+#include <map>
 
 #include "core/dataset.hpp"
 #include "core/device_metrics.hpp"
@@ -24,8 +25,8 @@ int main() {
   auto ds = core::ClientDataset::from_fleet(fleet);
   std::printf("parsed: %zu events (%zu dropped), %zu distinct fingerprints, "
               "%zu vendors, %zu SNIs\n\n",
-              ds.events().size(), ds.dropped_events(), ds.fingerprints().size(),
-              ds.vendors().size(), ds.snis().size());
+              ds.events().size(), ds.dropped_events(), ds.index().fps().size(),
+              ds.index().vendors().size(), ds.index().snis().size());
 
   auto match = core::match_against_corpus(ds, corpus, days(2020, 8, 1));
   std::printf("library matches: %zu fingerprints (%s) against %zu libraries\n",
@@ -53,10 +54,12 @@ int main() {
 
   std::printf("\nworst vendors by vulnerable share of their fingerprints:\n");
   auto flows = core::classify_fingerprints(ds);
+  const core::DatasetIndex& ix = ds.index();
+  // Keyed by name, so vendors iterate in name order.
   std::map<std::string, std::pair<std::size_t, std::size_t>> per_vendor;  // vuln/total
   for (const auto& fs : flows) {
-    for (const std::string& vendor : ds.fp_vendors().at(fs.fp_key)) {
-      auto& [v, t] = per_vendor[vendor];
+    for (std::uint32_t vendor : ix.fp_vendors()[ix.fps().find(fs.fp_key)]) {
+      auto& [v, t] = per_vendor[ix.vendors().str(vendor)];
       ++t;
       if (!fs.vulnerable_tags.empty()) ++v;
     }

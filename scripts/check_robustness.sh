@@ -25,9 +25,10 @@
 # measurements to BENCH_fleet.json. A fingerprint phase runs the
 # `ctest -L fingerprint` suite (docs/FINGERPRINTING.md cross-checks), replays
 # the daemon fixture through `iotlsd --certs` and requires the live
-# /report/stacks and /report/dualstack bodies byte-identical to the batch
-# `iotls_audit --report=...` output at --jobs 1 and 8, then times a
-# dual-stack `iotls_probe --battery --all` survey into
+# /report/{stacks,dualstack,certs,chains,issuers,ct} bodies — after three
+# epochs, so the cert reports come through collect's probe memo —
+# byte-identical to the batch `iotls_audit --report=...` output at --jobs 1
+# and 8, then times a dual-stack `iotls_probe --battery --all` survey into
 # BENCH_fingerprint.json. Finally, a docs phase fails on broken relative
 # links in README.md and docs/*.md.
 #
@@ -303,9 +304,10 @@ echo "daemon phase OK: 3 epochs over ${events:-?} events," \
      "mean fold $((fold_mean / 1000000)) ms, live table04 == batch table04"
 
 # Fingerprint phase: the docs/FINGERPRINTING.md cross-check suite, then the
-# battery's batch/daemon byte-identity over the daemon phase's fleet
-# fixture — `iotlsd --certs` must serve /report/stacks and /report/dualstack
-# with exactly the bytes `iotls_audit --report=...` prints at --jobs 1 and
+# battery's and the cert reports' batch/daemon byte-identity over the daemon
+# phase's fleet fixture — `iotlsd --certs` must serve /report/stacks,
+# /report/dualstack and the memo-fed /report/{certs,chains,issuers,ct} with
+# exactly the bytes `iotls_audit --report=...` prints at --jobs 1 and
 # --jobs 8 — and finally a timed dual-stack battery survey of the whole
 # universe into BENCH_fingerprint.json (gitignored).
 ctest --preset default -L fingerprint --output-on-failure
@@ -356,7 +358,7 @@ if ! grep -q '"epoch":3' "$daemon_dir/epoch-fp.json"; then
   exit 1
 fi
 
-for rpt in stacks dualstack; do
+for rpt in stacks dualstack certs chains issuers ct; do
   fp_fetch "/report/$rpt" "$daemon_dir/$rpt.live"
   for jobs in 1 8; do
     ./build/tools/iotls_audit --report="$rpt" --jobs="$jobs" \
@@ -397,7 +399,8 @@ if [ -z "$battery_snis" ] || [ -z "$battery_probes" ]; then
 fi
 printf '{"snis":%s,"probes":%s,"wall_ms":%s}\n' \
   "$battery_snis" "$battery_probes" "$battery_ms" > BENCH_fingerprint.json
-echo "fingerprint phase OK: live stacks/dualstack == batch at jobs 1/8;" \
+echo "fingerprint phase OK: live stacks/dualstack/certs/chains/issuers/ct" \
+     "== batch at jobs 1/8;" \
      "dual-stack battery over $battery_snis SNIs ($battery_probes probes)" \
      "in ${battery_ms} ms"
 trap 'daemon_cleanup; obs_cleanup' EXIT

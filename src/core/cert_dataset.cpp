@@ -60,24 +60,24 @@ CertDataset CertDataset::collect(const ClientDataset& client,
   CertDataset ds;
   net::TlsProber prober(internet != nullptr ? *internet : world.internet);
 
-  // Eligible SNIs in the map's (lexicographic) order — the walk order the
-  // sequential fold below preserves at every jobs level. Memo hits are
-  // copied in the fold; the rest go to the survey engine.
-  using SniUsers = std::pair<const std::string, std::set<std::string>>;
-  std::vector<const SniUsers*> eligible;
+  // Eligible SNIs in lexicographic order — the walk order the sequential
+  // fold below preserves at every jobs level. Memo hits are copied in the
+  // fold; the rest go to the survey engine.
+  const DatasetIndex& ix = client.index();
+  std::vector<std::uint32_t> eligible;
   std::vector<std::string> fresh;
-  for (const auto& entry : client.sni_users()) {
-    if (entry.second.size() < min_users) continue;
-    eligible.push_back(&entry);
-    if (memo == nullptr || memo->by_sni.count(entry.first) == 0) {
-      fresh.push_back(entry.first);
-    }
+  for (std::uint32_t sni : ix.snis_by_name()) {
+    if (ix.sni_users()[sni].size() < min_users) continue;
+    eligible.push_back(sni);
+    const std::string& name = ix.snis().str(sni);
+    if (memo == nullptr || memo->by_sni.count(name) == 0) fresh.push_back(name);
   }
 
   // The prober's defaults: one attempt per vantage, and a breaker that
   // never denies (it opens after 3 failures; each SNI gets exactly 3).
   auto probed = net::run_survey<net::DegradationSummary>(
-      fresh, "probe", jobs, prober.retry_policy(), prober.breaker_config(),
+      fresh, "certs.probe", jobs, prober.retry_policy(),
+      prober.breaker_config(),
       [&](const std::string& sni,
           net::SurveyShard<net::DegradationSummary>& shard) {
         return probed_sni(prober.survey_one(sni, shard), world, cache);
@@ -89,8 +89,8 @@ CertDataset CertDataset::collect(const ClientDataset& client,
   ds.index_.reserve(eligible.size());
   ds.records_.reserve(eligible.size());
   std::size_t next_fresh = 0;
-  for (const SniUsers* entry : eligible) {
-    const auto& [sni, users] = *entry;
+  for (std::uint32_t sni_id : eligible) {
+    const std::string& sni = ix.snis().str(sni_id);
     ProbedSni p;
     if (next_fresh < fresh.size() && fresh[next_fresh] == sni) {
       p = std::move(probed.results[next_fresh++]);
@@ -98,9 +98,12 @@ CertDataset CertDataset::collect(const ClientDataset& client,
     } else {
       p = memo->by_sni.at(sni);  // one copy; membership is filled below
     }
-    p.record.users = users;
-    p.record.devices = client.sni_devices().at(sni);
-    p.record.vendors = client.sni_vendors().at(sni);
+    for (std::uint32_t d : ix.sni_devices()[sni_id]) {
+      p.record.devices.insert(ix.devices().str(d));
+    }
+    for (std::uint32_t v : ix.sni_vendors()[sni_id]) {
+      p.record.vendors.insert(ix.vendors().str(v));
+    }
 
     ++ds.extracted_;
     if (p.record.reachable) {

@@ -31,7 +31,6 @@ struct SniRecord {
   std::map<net::VantagePoint, std::optional<std::string>> leaf_by_vantage;
   std::set<std::string> devices;  // devices that contacted this SNI
   std::set<std::string> vendors;
-  std::set<std::string> users;
   std::vector<std::string> server_ips;
   bool stapled = false;        // server answered status_request with a staple
   bool staple_valid = false;   // ...that verified against the responder key
@@ -58,8 +57,8 @@ struct GeoComparison {
   std::map<net::VantagePoint, std::size_t> exclusive;    // leaf unique to place
 };
 
-/// One probed SNI: the record without membership (devices, vendors and
-/// users stay empty), plus the leaf fingerprint — hashed once and reused
+/// One probed SNI: the record without membership (devices and vendors
+/// stay empty), plus the leaf fingerprint — hashed once and reused
 /// for dedup and the index memo — and the stage-span failure tag.
 struct ProbedSni {
   SniRecord record;

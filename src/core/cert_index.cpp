@@ -42,7 +42,6 @@ void CertIndex::record(const SniRecord& rec,
   for (const std::string& vendor : rec.vendors) {
     append(sni_vendors_, sni, vendors_.intern(vendor));
   }
-  for (const std::string& user : rec.users) users_.intern(user);
 
   if (!rec.reachable || rec.chain.empty()) {
     record_leaf_.push_back(kNone);

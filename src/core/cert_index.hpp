@@ -38,7 +38,6 @@ class CertIndex {
   const Interner& snis() const { return snis_; }
   const Interner& devices() const { return devices_; }
   const Interner& vendors() const { return vendors_; }
-  const Interner& users() const { return users_; }
   const Interner& ips() const { return ips_; }
   /// Leaf issuer organizations (Fig. 5 y-axis domain).
   const Interner& issuers() const { return issuers_; }
@@ -96,7 +95,7 @@ class CertIndex {
   void finalize();
 
  private:
-  Interner snis_, devices_, vendors_, users_, ips_, issuers_, spkis_, fps_;
+  Interner snis_, devices_, vendors_, ips_, issuers_, spkis_, fps_;
 
   // Per-leaf columns (leaf = distinct SPKI+serial identity).
   Interner leaf_ids_;  // "spki \x1f serial" -> dense leaf id

@@ -2,16 +2,10 @@
 //
 // This is the paper's analysis input (§4): every event's ClientHello is
 // parsed from capture bytes, fingerprinted, and joined with the device's
-// user label. All §4 analyses run off the interned DatasetIndex built here;
-// the string-keyed map accessors survive as lazily-materialized
-// compatibility views whose contents are byte-identical to the seed's
-// eagerly-built maps.
+// user label. All §4 analyses run off the interned DatasetIndex built here.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -36,7 +30,6 @@ struct ParsedEvent {
 
   std::uint32_t device_ix = 0;
   std::uint32_t vendor_ix = 0;
-  std::uint32_t type_ix = 0;
   std::uint32_t user_ix = 0;
   std::uint32_t sni_ix = 0;
   std::uint32_t fp_ix = 0;
@@ -57,11 +50,6 @@ struct DropCounts {
 /// Parsed dataset carrying the interned cross-index the §4 metrics run on.
 class ClientDataset {
  public:
-  ClientDataset();
-  ~ClientDataset();
-  ClientDataset(ClientDataset&&) noexcept;
-  ClientDataset& operator=(ClientDataset&&) noexcept;
-
   /// Parse a fleet's events. Undecodable events are dropped (counted
   /// per reason in drop_counts()). `jobs` > 1 parses wire bytes on a
   /// worker pool (0 = hardware concurrency); the index fold stays
@@ -76,14 +64,14 @@ class ClientDataset {
   /// runs on `jobs` workers; the fold is sequential in arrival order, so any
   /// epoch split of one event stream builds the same dataset as a single
   /// batch call over the concatenation, bit for bit. Call finalize() before
-  /// reading the index or the views.
+  /// reading the index.
   void append_events(const std::vector<devicesim::ClientHelloEvent>& events,
                      const std::vector<devicesim::Device>& devices,
                      const tls::FingerprintOptions& opts = {}, int jobs = 1);
 
   /// Re-finalize the index after append_events (O(appended delta + id
-  /// universe)) and invalidate the lazy string-keyed views.
-  void finalize();
+  /// universe)).
+  void finalize() { index_.finalize(); }
 
   /// When false, append_events folds every parsed event into the index but
   /// does not retain it in events() — resident memory stays O(distinct
@@ -101,43 +89,13 @@ class ClientDataset {
   std::size_t dropped_events() const { return dropped_.total(); }
   const DropCounts& drop_counts() const { return dropped_; }
 
-  /// The interned-id cross-index — the fast path every hot analysis uses.
+  /// The interned-id cross-index every analysis reads.
   const DatasetIndex& index() const { return index_; }
 
-  // ------------------------------------------------------------ views
-  // String-keyed compatibility views, materialized lazily (thread-safe)
-  // from the index. Contents match the seed's eager maps byte for byte.
-
-  /// Distinct fingerprints (by key).
-  const std::map<std::string, tls::Fingerprint>& fingerprints() const;
-
-  const std::map<std::string, std::set<std::string>>& fp_vendors() const;
-  const std::map<std::string, std::set<std::string>>& fp_devices() const;
-  const std::map<std::string, std::set<std::string>>& vendor_fps() const;
-  const std::map<std::string, std::set<std::string>>& device_fps() const;
-  /// device id -> vendor name (devices with >= 1 parsed event).
-  const std::map<std::string, std::string>& device_vendor() const;
-  /// device id -> type label.
-  const std::map<std::string, std::string>& device_type() const;
-  /// SNI -> set of device ids / vendors / fingerprint keys seen toward it.
-  const std::map<std::string, std::set<std::string>>& sni_devices() const;
-  const std::map<std::string, std::set<std::string>>& sni_vendors() const;
-  const std::map<std::string, std::set<std::string>>& sni_fps() const;
-  const std::map<std::string, std::set<std::string>>& sni_users() const;
-  /// fingerprint key -> SNIs it was observed toward.
-  const std::map<std::string, std::set<std::string>>& fp_snis() const;
-
-  std::set<std::string> vendors() const;
-  std::set<std::string> users() const;
-  std::vector<std::string> snis() const;
-
  private:
-  struct Views;
-
   std::vector<ParsedEvent> events_;
   DropCounts dropped_;
   DatasetIndex index_;
-  std::unique_ptr<Views> views_;
   bool retain_events_ = true;
 };
 

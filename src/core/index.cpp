@@ -34,7 +34,6 @@ void DatasetIndex::reserve(std::size_t expected_devices,
                            std::size_t expected_events) {
   devices_.reserve(expected_devices);
   device_vendor_.reserve(expected_devices);
-  device_type_.reserve(expected_devices);
   device_fps_.reserve(expected_devices);
   // Fingerprint/SNI universes are far smaller than the event stream; a
   // sqrt-ish hint avoids rehashing without overcommitting.
@@ -46,7 +45,6 @@ void DatasetIndex::reserve(std::size_t expected_devices,
 void DatasetIndex::record(ParsedEvent& ev) {
   ev.vendor_ix = vendors_.intern(ev.vendor);
   ev.device_ix = devices_.intern(ev.device_id);
-  ev.type_ix = types_.intern(ev.type);
   ev.user_ix = users_.intern(ev.user);
   ev.sni_ix = snis_.intern(ev.sni);
   ev.fp_ix = fps_.intern(ev.fp_key);
@@ -62,12 +60,8 @@ void DatasetIndex::record(ParsedEvent& ev) {
   append(sni_fps_, dirty_sni_fps_, ev.sni_ix, ev.fp_ix);
   append(sni_users_, dirty_sni_users_, ev.sni_ix, ev.user_ix);
 
-  if (ev.device_ix >= device_vendor_.size()) {
-    device_vendor_.resize(ev.device_ix + 1);
-    device_type_.resize(ev.device_ix + 1);
-  }
+  if (ev.device_ix >= device_vendor_.size()) device_vendor_.resize(ev.device_ix + 1);
   device_vendor_[ev.device_ix] = ev.vendor_ix;
-  device_type_[ev.device_ix] = ev.type_ix;
 }
 
 void DatasetIndex::finalize() {

@@ -4,9 +4,10 @@
 // lists (sorted vector<uint32_t>) over dense interned ids, plus per-vendor
 // bitsets over the fingerprint domain for the Table 4 Jaccard analysis.
 // Built in the sequential fold of ClientDataset::from_fleet (event order),
-// so ids and posting lists are bit-identical at every --jobs level. The
-// string-keyed map views the report layer consumes are materialized lazily
-// from this index and match the seed maps byte for byte.
+// so ids and posting lists are bit-identical at every --jobs level. Every
+// §4 analysis and the §5.1 SNI walk read it directly; row orders that
+// follow the seed's std::map iteration come from the lexicographic id
+// permutations below.
 #pragma once
 
 #include <cstdint>
@@ -22,12 +23,11 @@ struct ParsedEvent;
 class DatasetIndex {
  public:
   /// Interners for each id domain. Ids are first-seen-ordered over the
-  /// event stream (devices/vendors/types appear when their first event
+  /// event stream (devices/vendors appear when their first event
   /// parses, not when the fleet lists them — matching the seed maps, which
   /// only held entities with >= 1 parsed event).
   const Interner& vendors() const { return vendors_; }
   const Interner& devices() const { return devices_; }
-  const Interner& types() const { return types_; }
   const Interner& users() const { return users_; }
   const Interner& snis() const { return snis_; }
   const Interner& fps() const { return fps_; }
@@ -48,12 +48,9 @@ class DatasetIndex {
   const std::vector<PostingList>& sni_fps() const { return sni_fps_; }
   const std::vector<PostingList>& sni_users() const { return sni_users_; }
 
-  /// device id -> vendor id / type id (total functions on interned devices).
+  /// device id -> vendor id (a total function on interned devices).
   std::uint32_t device_vendor(std::uint32_t device) const {
     return device_vendor_[device];
-  }
-  std::uint32_t device_type(std::uint32_t device) const {
-    return device_type_[device];
   }
 
   /// Per-vendor bitset over the fingerprint id domain (built at finalize).
@@ -98,13 +95,13 @@ class DatasetIndex {
   void append(std::vector<PostingList>& lists, DirtyRows& dirty,
               std::uint32_t row, std::uint32_t id);
 
-  Interner vendors_, devices_, types_, users_, snis_, fps_;
+  Interner vendors_, devices_, users_, snis_, fps_;
   std::vector<tls::Fingerprint> fp_values_;
 
   std::vector<PostingList> fp_vendors_, fp_devices_, fp_snis_;
   std::vector<PostingList> vendor_fps_, device_fps_;
   std::vector<PostingList> sni_devices_, sni_vendors_, sni_fps_, sni_users_;
-  std::vector<std::uint32_t> device_vendor_, device_type_;
+  std::vector<std::uint32_t> device_vendor_;
 
   DirtyRows dirty_fp_vendors_, dirty_fp_devices_, dirty_fp_snis_;
   DirtyRows dirty_vendor_fps_, dirty_device_fps_;

@@ -25,6 +25,14 @@ class Interner {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
+  // Move-only: the id map's keys view the strings_ elements, so a copy's
+  // keys would point into the source. Moves keep element addresses.
+  Interner() = default;
+  Interner(const Interner&) = delete;
+  Interner& operator=(const Interner&) = delete;
+  Interner(Interner&&) = default;
+  Interner& operator=(Interner&&) = default;
+
   /// Id of `s`, interning it if unseen.
   std::uint32_t intern(std::string_view s);
 

@@ -23,12 +23,13 @@ LongitudinalReport longitudinal_analysis(const ClientDataset& ds,
     (e.day < midpoint ? early : late).insert(e.fp_key);
     device_fp_snis[e.device_id][e.fp_key].insert(e.sni);
   }
+  const DatasetIndex& ix = ds.index();
   for (const auto& [device, sets] : halves) {
     const auto& [early, late] = sets;
     if (early.empty() || late.empty()) continue;  // not observed in both halves
     DeviceTimeline timeline;
     timeline.device_id = device;
-    timeline.vendor = ds.device_vendor().at(device);
+    timeline.vendor = ix.vendors().str(ix.device_vendor(ix.devices().find(device)));
     timeline.observed_in_both_halves = true;
     ++report.devices_observed_both_halves;
     for (const std::string& fp : early) {

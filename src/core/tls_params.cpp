@@ -40,7 +40,9 @@ VersionReport version_report(const ClientDataset& ds) {
     std::uint16_t version = e.fp.version;
     device_versions[e.device_id].insert(version);
     if (version == 0x0300) {
-      report.ssl30_devices.insert(e.device_id);
+      if (report.ssl30_devices.insert(e.device_id).second) {
+        ++report.ssl30_by_vendor[e.vendor];
+      }
       ++report.ssl30_proposals;
     }
     std::string key = e.device_id + "|" + e.fp_key;
@@ -48,9 +50,6 @@ VersionReport version_report(const ClientDataset& ds) {
   }
   for (const auto& [device, versions] : device_versions) {
     if (versions.size() > 1) ++report.multi_version_devices;
-  }
-  for (const std::string& device : report.ssl30_devices) {
-    ++report.ssl30_by_vendor[ds.device_vendor().at(device)];
   }
   return report;
 }

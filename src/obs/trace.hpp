@@ -22,8 +22,9 @@
 //    site is one relaxed atomic load (enforced by bench_obs_overhead).
 //
 // Canonical stage names used across the pipeline:
-//   pcap.decode, fingerprint.extract, corpus.match, probe, probe.shard,
-//   chain.validate, report
+//   pcap.decode, fingerprint.extract, corpus.match, probe, probe.shard
+//   (iotls_probe's survey), certs.probe, certs.probe.shard (the §5.1
+//   harvest in CertDataset::collect), chain.validate, report
 // Span-level names nest under them: net.survey_one (one SNI, all
 // vantages) -> net.probe (one SNI x vantage attempt loop).
 //

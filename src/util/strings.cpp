@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace iotls {
@@ -90,6 +91,16 @@ std::string second_level_domain(std::string_view fqdn) {
   std::vector<std::string> tail(labels.end() - static_cast<std::ptrdiff_t>(keep),
                                 labels.end());
   return join(tail, ".");
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text, std::uint64_t max) {
+  // from_chars into an unsigned type rejects '-', '+' and whitespace and
+  // reports overflow instead of wrapping.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return std::nullopt;
+  return value;
 }
 
 std::string fmt_double(double v, int decimals) {

@@ -1,6 +1,8 @@
 // Small string helpers used by domain handling and report rendering.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -36,6 +38,11 @@ bool ends_with(std::string_view s, std::string_view suffix);
 /// Handles a small list of two-part public suffixes seen in the paper's
 /// dataset ("co.kr", "co.uk", "com.cn"), e.g. "pavv.co.kr" -> "pavv.co.kr".
 std::string second_level_domain(std::string_view fqdn);
+
+/// Parse a decimal unsigned integer in [0, max]. Digits only: a sign,
+/// whitespace, trailing text, overflow or a value above `max` yields
+/// nullopt rather than a wrapped or negated number.
+std::optional<std::uint64_t> parse_u64(std::string_view text, std::uint64_t max);
 
 /// Format a double with fixed decimals (report tables).
 std::string fmt_double(double v, int decimals);

@@ -12,6 +12,8 @@
 #include "devicesim/fleet.hpp"
 #include "util/dates.hpp"
 
+#include "seed_maps.hpp"
+
 namespace iotls::core {
 namespace {
 
@@ -20,6 +22,7 @@ struct Calibration {
   devicesim::ServerUniverse universe = devicesim::ServerUniverse::standard();
   devicesim::FleetDataset fleet = devicesim::generate_fleet({}, corpus, universe);
   ClientDataset ds = ClientDataset::from_fleet(fleet);
+  SeedMaps seed{ds};
 };
 
 const Calibration& cal() {
@@ -29,8 +32,8 @@ const Calibration& cal() {
 
 TEST(Calibration, FleetScale) {
   EXPECT_EQ(cal().fleet.devices.size(), 2014u);
-  EXPECT_EQ(cal().ds.vendors().size(), 65u);
-  EXPECT_EQ(cal().ds.users().size(), 721u);
+  EXPECT_EQ(cal().seed.vendors.size(), 65u);
+  EXPECT_EQ(cal().seed.users.size(), 721u);
   // Paper: 11,439 ClientHellos; band ±30%.
   EXPECT_GT(cal().ds.events().size(), 8000u);
   EXPECT_LT(cal().ds.events().size(), 15000u);
@@ -39,8 +42,8 @@ TEST(Calibration, FleetScale) {
 
 TEST(Calibration, FingerprintUniverse) {
   // Paper: 903 fingerprints.
-  EXPECT_GT(cal().ds.fingerprints().size(), 780u);
-  EXPECT_LT(cal().ds.fingerprints().size(), 1020u);
+  EXPECT_GT(cal().seed.fingerprints.size(), 780u);
+  EXPECT_LT(cal().seed.fingerprints.size(), 1020u);
 }
 
 TEST(Calibration, DegreeDistribution) {

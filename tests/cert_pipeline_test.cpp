@@ -33,6 +33,8 @@
 #include "util/strings.hpp"
 #include "x509/validation.hpp"
 
+#include "seed_maps.hpp"
+
 namespace iotls::core {
 namespace {
 
@@ -41,6 +43,7 @@ struct Fixture {
   devicesim::ServerUniverse universe = devicesim::ServerUniverse::standard();
   devicesim::FleetDataset fleet = devicesim::generate_fleet({}, corpus, universe);
   ClientDataset client = ClientDataset::from_fleet(fleet);
+  SeedMaps seed{client};
   devicesim::SimWorld world = devicesim::build_world(universe);
   CertDataset certs = CertDataset::collect(client, world);
   std::int64_t probe_day = days(2022, 4, 15);
@@ -85,7 +88,6 @@ obs::Json record_json(const SniRecord& r) {
       {"by_vantage", obs::Json(std::move(by_vantage))},
       {"devices", set_json(r.devices)},
       {"vendors", set_json(r.vendors)},
-      {"users", set_json(r.users)},
       {"ips", vec_json(r.server_ips)},
       {"stapled", obs::Json(r.stapled)},
       {"staple_valid", obs::Json(r.staple_valid)},
@@ -272,7 +274,9 @@ obs::Json ct_report_json(const CtReport& report) {
 //
 // These reproduce the pre-index implementations verbatim (modulo obs span
 // bookkeeping, which never affects results): sequential walks over the
-// string-keyed views, fingerprints re-hashed per use, verification uncached.
+// string-keyed maps, fingerprints re-hashed per use, verification uncached.
+// ref_collect reads the seed's client maps rebuilt from the parsed events
+// (SeedMaps), never the DatasetIndex collect walks.
 
 struct RefDataset {
   std::vector<SniRecord> records;
@@ -281,20 +285,19 @@ struct RefDataset {
   std::size_t reachable = 0;
 };
 
-RefDataset ref_collect(const ClientDataset& client,
+RefDataset ref_collect(const SeedMaps& client,
                        const devicesim::SimWorld& world,
                        const net::Internet& internet, std::size_t min_users) {
   RefDataset ds;
   net::TlsProber prober(internet);
-  for (const auto& [sni, users] : client.sni_users()) {
+  for (const auto& [sni, users] : client.sni_users) {
     if (users.size() < min_users) continue;
     ++ds.extracted;
 
     SniRecord record;
     record.sni = sni;
-    record.users = users;
-    record.devices = client.sni_devices().at(sni);
-    record.vendors = client.sni_vendors().at(sni);
+    record.devices = client.sni_devices.at(sni);
+    record.vendors = client.sni_vendors.at(sni);
 
     net::MultiVantageResult multi = prober.probe_all_vantages(sni);
     for (const auto& [vantage, result] : multi.by_vantage) {
@@ -621,34 +624,48 @@ CtReport ref_ct_report(const CertDataset& certs, const devicesim::SimWorld& worl
 
 TEST(CertPipelineIdentity, CollectMatchesSeedAtEveryJobsLevel) {
   const auto& f = fixture();
-  RefDataset ref = ref_collect(f.client, f.world, f.world.internet, 1);
-  std::string want =
-      dataset_json(ref.records, ref.leaves, ref.extracted, ref.reachable).dump();
-
-  EXPECT_EQ(dataset_json(f.certs).dump(), want);  // fixture: jobs=1, no cache
-
-  auto j8 = CertDataset::collect(f.client, f.world, 1, 8);
-  EXPECT_EQ(dataset_json(j8).dump(), want);
-
-  x509::ValidationCache cache;
-  auto j8c = CertDataset::collect(f.client, f.world, 1, 8, &cache);
-  EXPECT_EQ(dataset_json(j8c).dump(), want);
-
-  // Under faults, each side walks its own fresh injector: the reference's
-  // fault-attempt order is the one collect must reproduce at every jobs
-  // level.
   const net::FaultSpec spec = net::FaultSpec::parse("seed=7,timeout=0.2");
-  net::FaultInjector ref_injector(f.world.internet, spec);
-  RefDataset faulted = ref_collect(f.client, f.world, ref_injector, 1);
-  ASSERT_LT(faulted.reachable, ref.reachable);  // the faults bite
-  std::string want_faulted = dataset_json(faulted.records, faulted.leaves,
-                                          faulted.extracted, faulted.reachable)
-                                 .dump();
-  for (int jobs : {1, 8}) {
-    net::FaultInjector injector(f.world.internet, spec);
-    auto got = CertDataset::collect(f.client, f.world, 1, jobs, nullptr,
-                                    &injector);
-    EXPECT_EQ(dataset_json(got).dump(), want_faulted) << "jobs=" << jobs;
+  for (std::size_t min_users : {1, 2, 3}) {
+    SCOPED_TRACE("min_users=" + std::to_string(min_users));
+    RefDataset ref = ref_collect(f.seed, f.world, f.world.internet, min_users);
+    std::string want =
+        dataset_json(ref.records, ref.leaves, ref.extracted, ref.reachable).dump();
+
+    if (min_users == 1) {
+      // The fixture collects at jobs=1 with no cache.
+      EXPECT_EQ(dataset_json(f.certs).dump(), want);
+    } else {
+      auto j1 = CertDataset::collect(f.client, f.world, min_users, 1);
+      EXPECT_EQ(dataset_json(j1).dump(), want);
+    }
+    if (min_users == 2) {
+      // The threshold both drops and keeps SNIs, so the filter is exercised.
+      EXPECT_GT(ref.extracted, 0u);
+      EXPECT_LT(ref.extracted, f.seed.sni_users.size());
+    }
+
+    auto j8 = CertDataset::collect(f.client, f.world, min_users, 8);
+    EXPECT_EQ(dataset_json(j8).dump(), want);
+
+    x509::ValidationCache cache;
+    auto j8c = CertDataset::collect(f.client, f.world, min_users, 8, &cache);
+    EXPECT_EQ(dataset_json(j8c).dump(), want);
+
+    // Under faults, each side walks its own fresh injector: the reference's
+    // fault-attempt order is the one collect must reproduce at every jobs
+    // level.
+    net::FaultInjector ref_injector(f.world.internet, spec);
+    RefDataset faulted = ref_collect(f.seed, f.world, ref_injector, min_users);
+    ASSERT_LT(faulted.reachable, ref.reachable);  // the faults bite
+    std::string want_faulted = dataset_json(faulted.records, faulted.leaves,
+                                            faulted.extracted, faulted.reachable)
+                                   .dump();
+    for (int jobs : {1, 8}) {
+      net::FaultInjector injector(f.world.internet, spec);
+      auto got = CertDataset::collect(f.client, f.world, min_users, jobs,
+                                      nullptr, &injector);
+      EXPECT_EQ(dataset_json(got).dump(), want_faulted) << "jobs=" << jobs;
+    }
   }
 }
 

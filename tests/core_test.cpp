@@ -12,6 +12,8 @@
 #include "tls/record.hpp"
 #include "util/dates.hpp"
 
+#include "seed_maps.hpp"
+
 namespace iotls::core {
 namespace {
 
@@ -67,12 +69,21 @@ TEST(Dataset, ParsesAndIndexes) {
   auto ds = ClientDataset::from_fleet(mini_fleet());
   EXPECT_EQ(ds.events().size(), 7u);
   EXPECT_EQ(ds.dropped_events(), 0u);
-  EXPECT_EQ(ds.fingerprints().size(), 4u);
-  EXPECT_EQ(ds.vendors(), (std::set<std::string>{"VendorA", "VendorB"}));
-  EXPECT_EQ(ds.users().size(), 2u);
-  EXPECT_EQ(ds.snis().size(), 4u);
-  EXPECT_EQ(ds.device_fps().at("a1").size(), 3u);
-  EXPECT_EQ(ds.device_fps().at("b1").size(), 2u);
+  const SeedMaps seed(ds);
+  EXPECT_EQ(seed.fingerprints.size(), 4u);
+  EXPECT_EQ(seed.vendors, (std::set<std::string>{"VendorA", "VendorB"}));
+  EXPECT_EQ(seed.users.size(), 2u);
+  EXPECT_EQ(seed.snis.size(), 4u);
+  EXPECT_EQ(seed.device_fps.at("a1").size(), 3u);
+  EXPECT_EQ(seed.device_fps.at("b1").size(), 2u);
+  // The index holds the same universes as the eager maps.
+  const DatasetIndex& ix = ds.index();
+  EXPECT_EQ(ix.fps().size(), seed.fingerprints.size());
+  EXPECT_EQ(ix.vendors().size(), seed.vendors.size());
+  EXPECT_EQ(ix.users().size(), seed.users.size());
+  EXPECT_EQ(ix.snis().size(), seed.snis.size());
+  EXPECT_EQ(ix.device_fps()[ix.devices().find("a1")].size(), 3u);
+  EXPECT_EQ(ix.device_fps()[ix.devices().find("b1")].size(), 2u);
 }
 
 TEST(Dataset, DropsCorruptEvents) {

@@ -9,6 +9,8 @@
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
+#include "seed_maps.hpp"
+
 namespace iotls::devicesim {
 namespace {
 
@@ -62,9 +64,10 @@ TEST(Export, RoundTripPreservesFingerprints) {
   auto reloaded = core::ClientDataset::from_fleet(imported);
   EXPECT_EQ(reloaded.dropped_events(), 0u);
   // The fingerprint universe and its degree structure survive the export.
-  ASSERT_EQ(reloaded.fingerprints().size(), original.fingerprints().size());
-  for (const auto& [key, fp] : original.fingerprints()) {
-    EXPECT_TRUE(reloaded.fingerprints().count(key)) << key;
+  const core::SeedMaps original_maps(original), reloaded_maps(reloaded);
+  ASSERT_EQ(reloaded_maps.fingerprints.size(), original_maps.fingerprints.size());
+  for (const auto& [key, fp] : original_maps.fingerprints) {
+    EXPECT_TRUE(reloaded_maps.fingerprints.count(key)) << key;
   }
   auto d1 = core::fingerprint_degree_distribution(original);
   auto d2 = core::fingerprint_degree_distribution(reloaded);

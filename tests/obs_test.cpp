@@ -423,9 +423,10 @@ TEST(ProberMetrics, SurveySpanRecordsItemsAndFailureReasons) {
   EXPECT_EQ(probe_stats->failures, 1u);
   EXPECT_EQ(probe_stats->failure_reasons.at("dns"), 1u);
 
-  // The §5.1 harvest runs on the same engine: one `probe` call per
-  // collect (no second span around the engine's), one item per SNI it
-  // probed, and a tag per SNI no vantage reached.
+  // The §5.1 harvest runs on the same engine under its own stage name:
+  // one `certs.probe` call per collect (no second span around the
+  // engine's), one item per SNI it probed, and a tag per SNI no vantage
+  // reached.
   corpus::LibraryCorpus corpus = corpus::LibraryCorpus::standard();
   devicesim::ServerUniverse universe = devicesim::ServerUniverse::standard();
   devicesim::FleetConfig config;
@@ -441,12 +442,15 @@ TEST(ProberMetrics, SurveySpanRecordsItemsAndFailureReasons) {
                                          &memo);
   auto probe_row = [&] {
     for (const auto& [stage, stats] : tr.snapshot()) {
-      if (stage == "probe") return stats;
+      if (stage == "certs.probe") return stats;
     }
     return StageStats{};
   };
   StageStats harvest = probe_row();
   EXPECT_EQ(harvest.calls, 1u);
+  for (const auto& [stage, stats] : tr.snapshot()) {
+    EXPECT_NE(stage, "probe") << "collect must not share iotls_probe's row";
+  }
   EXPECT_EQ(harvest.items, cold.extracted_snis());
   std::uint64_t unreachable = 0;
   for (const core::SniRecord& record : cold.records()) {

@@ -5,8 +5,9 @@
 //
 // Property: the DatasetIndex-backed analyses reproduce the seed string-map
 // algorithms byte for byte. The seed implementations are re-stated here over
-// the compatibility views; both sides are serialized to canonical JSON and
-// compared as strings, at jobs=1 and jobs=8.
+// the seed's eager maps, rebuilt from the parsed events (seed_maps.hpp), so
+// the reference never reads the index under test; both sides are serialized
+// to canonical JSON and compared as strings, at jobs=1 and jobs=8.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,8 @@
 #include "tls/record.hpp"
 #include "util/dates.hpp"
 #include "util/strings.hpp"
+
+#include "seed_maps.hpp"
 
 namespace iotls::core {
 namespace {
@@ -163,12 +166,12 @@ devicesim::FleetDataset example_fleet() {
 
 // ------------------------------------------- seed reference algorithms
 // Verbatim re-statements of the pre-index implementations, running on the
-// string-keyed compatibility views.
+// seed's eager string maps rebuilt from the parsed events (SeedMaps).
 
-std::vector<VendorSimilarity> ref_vendor_similarities(const ClientDataset& ds,
+std::vector<VendorSimilarity> ref_vendor_similarities(const SeedMaps& ds,
                                                       double threshold) {
   std::vector<std::pair<std::string, const std::set<std::string>*>> vendors;
-  for (const auto& [vendor, fps] : ds.vendor_fps()) vendors.emplace_back(vendor, &fps);
+  for (const auto& [vendor, fps] : ds.vendor_fps) vendors.emplace_back(vendor, &fps);
 
   std::vector<VendorSimilarity> out;
   for (std::size_t i = 0; i < vendors.size(); ++i) {
@@ -195,16 +198,16 @@ std::vector<VendorSimilarity> ref_vendor_similarities(const ClientDataset& ds,
   return out;
 }
 
-std::map<std::string, double> ref_doc_per_device(const ClientDataset& ds) {
+std::map<std::string, double> ref_doc_per_device(const SeedMaps& ds) {
   std::map<std::string, std::map<std::string, std::size_t>> vendor_fp_devcount;
-  for (const auto& [device, fps] : ds.device_fps()) {
-    const std::string& vendor = ds.device_vendor().at(device);
+  for (const auto& [device, fps] : ds.device_fps) {
+    const std::string& vendor = ds.device_vendor.at(device);
     for (const std::string& key : fps) ++vendor_fp_devcount[vendor][key];
   }
   std::map<std::string, double> out;
-  for (const auto& [device, fps] : ds.device_fps()) {
+  for (const auto& [device, fps] : ds.device_fps) {
     if (fps.empty()) continue;
-    const std::string& vendor = ds.device_vendor().at(device);
+    const std::string& vendor = ds.device_vendor.at(device);
     std::size_t solo = 0;
     for (const std::string& key : fps) {
       if (vendor_fp_devcount[vendor][key] == 1) ++solo;
@@ -214,11 +217,11 @@ std::map<std::string, double> ref_doc_per_device(const ClientDataset& ds) {
   return out;
 }
 
-std::map<std::string, double> ref_doc_device_per_vendor(const ClientDataset& ds) {
+std::map<std::string, double> ref_doc_device_per_vendor(const SeedMaps& ds) {
   std::map<std::string, double> sums;
   std::map<std::string, std::size_t> counts;
   for (const auto& [device, doc] : ref_doc_per_device(ds)) {
-    const std::string& vendor = ds.device_vendor().at(device);
+    const std::string& vendor = ds.device_vendor.at(device);
     sums[vendor] += doc;
     ++counts[vendor];
   }
@@ -229,22 +232,22 @@ std::map<std::string, double> ref_doc_device_per_vendor(const ClientDataset& ds)
   return out;
 }
 
-std::map<std::string, double> ref_doc_vendor(const ClientDataset& ds) {
+std::map<std::string, double> ref_doc_vendor(const SeedMaps& ds) {
   std::map<std::string, double> out;
-  for (const auto& [vendor, fps] : ds.vendor_fps()) {
+  for (const auto& [vendor, fps] : ds.vendor_fps) {
     if (fps.empty()) continue;
     std::size_t solo = 0;
     for (const std::string& key : fps) {
-      if (ds.fp_vendors().at(key).size() == 1) ++solo;
+      if (ds.fp_vendors.at(key).size() == 1) ++solo;
     }
     out[vendor] = static_cast<double>(solo) / static_cast<double>(fps.size());
   }
   return out;
 }
 
-DegreeDistribution ref_degree_distribution(const ClientDataset& ds) {
+DegreeDistribution ref_degree_distribution(const SeedMaps& ds) {
   DegreeDistribution dist;
-  for (const auto& [key, vendors] : ds.fp_vendors()) {
+  for (const auto& [key, vendors] : ds.fp_vendors) {
     ++dist.total;
     std::size_t degree = vendors.size();
     if (degree == 1) ++dist.degree1;
@@ -255,18 +258,18 @@ DegreeDistribution ref_degree_distribution(const ClientDataset& ds) {
   return dist;
 }
 
-ServerTieReport ref_server_tied(const ClientDataset& ds,
+ServerTieReport ref_server_tied(const SeedMaps& ds,
                                 const corpus::LibraryCorpus& corpus) {
   ServerTieReport report;
-  report.total_snis = ds.sni_fps().size();
+  report.total_snis = ds.sni_fps.size();
   std::map<std::string, ServerTiedFingerprint> rows;
-  for (const auto& [sni, fps] : ds.sni_fps()) {
+  for (const auto& [sni, fps] : ds.sni_fps) {
     if (fps.size() != 1) continue;
     const std::string& fp_key = *fps.begin();
-    const tls::Fingerprint& fp = ds.fingerprints().at(fp_key);
+    const tls::Fingerprint& fp = ds.fingerprints.at(fp_key);
     if (corpus.best_match(fp) != nullptr) continue;
-    if (ds.fp_snis().at(fp_key).size() > 8) continue;
-    const auto& devices = ds.sni_devices().at(sni);
+    if (ds.fp_snis.at(fp_key).size() > 8) continue;
+    const auto& devices = ds.sni_devices.at(sni);
     if (devices.size() < 2) continue;
     ++report.tied_snis;
     std::string sld = second_level_domain(sni);
@@ -276,7 +279,7 @@ ServerTieReport ref_server_tied(const ClientDataset& ds,
     row.fqdns.insert(sni);
     row.vulnerable_tags = tls::list_vulnerable_components(fp.cipher_suites);
     for (const std::string& d : devices) row.devices.insert(d);
-    for (const std::string& v : ds.sni_vendors().at(sni)) row.vendors.insert(v);
+    for (const std::string& v : ds.sni_vendors.at(sni)) row.vendors.insert(v);
   }
   for (auto& [key, row] : rows) {
     if (row.vendors.size() < 2) continue;
@@ -383,22 +386,23 @@ std::string analysis_bundle(const ClientDataset& ds,
 TEST(PerfProperty, IndexedAnalysesMatchSeedStringMapAlgorithms) {
   devicesim::FleetDataset fleet = example_fleet();
   ClientDataset ds = ClientDataset::from_fleet(fleet);
+  const SeedMaps seed(ds);
   corpus::LibraryCorpus corpus = corpus::LibraryCorpus::standard();
 
   EXPECT_EQ(sims_json(vendor_similarities(ds, 0.0)).dump(),
-            sims_json(ref_vendor_similarities(ds, 0.0)).dump());
+            sims_json(ref_vendor_similarities(seed, 0.0)).dump());
   EXPECT_EQ(sims_json(vendor_similarities(ds, 0.2)).dump(),
-            sims_json(ref_vendor_similarities(ds, 0.2)).dump());
+            sims_json(ref_vendor_similarities(seed, 0.2)).dump());
   EXPECT_EQ(doc_json(doc_per_device(ds)).dump(),
-            doc_json(ref_doc_per_device(ds)).dump());
+            doc_json(ref_doc_per_device(seed)).dump());
   EXPECT_EQ(doc_json(doc_device_per_vendor(ds)).dump(),
-            doc_json(ref_doc_device_per_vendor(ds)).dump());
-  EXPECT_EQ(doc_json(doc_vendor(ds)).dump(), doc_json(ref_doc_vendor(ds)).dump());
+            doc_json(ref_doc_device_per_vendor(seed)).dump());
+  EXPECT_EQ(doc_json(doc_vendor(ds)).dump(), doc_json(ref_doc_vendor(seed)).dump());
   EXPECT_EQ(degree_json(fingerprint_degree_distribution(ds)).dump(),
-            degree_json(ref_degree_distribution(ds)).dump());
+            degree_json(ref_degree_distribution(seed)).dump());
 
   ServerTieReport tied = server_tied_fingerprints(ds, corpus);
-  EXPECT_EQ(tied_json(tied).dump(), tied_json(ref_server_tied(ds, corpus)).dump());
+  EXPECT_EQ(tied_json(tied).dump(), tied_json(ref_server_tied(seed, corpus)).dump());
   // The constructed tied fingerprint must actually survive the filters,
   // otherwise this property would be vacuous for Table 5.
   ASSERT_FALSE(tied.cross_vendor_rows.empty());
@@ -413,7 +417,7 @@ TEST(PerfProperty, ParallelBuildByteIdenticalAnalyses) {
   ClientDataset ds1 = ClientDataset::from_fleet(fleet, {}, 1);
   ClientDataset ds8 = ClientDataset::from_fleet(fleet, {}, 8);
   ASSERT_EQ(ds1.events().size(), ds8.events().size());
-  // Interned ids must line up too, not just the string views.
+  // Interned ids must line up too, not just the analyses' strings.
   ASSERT_EQ(ds1.index().fps().size(), ds8.index().fps().size());
   for (std::uint32_t f = 0; f < ds1.index().fps().size(); ++f) {
     ASSERT_EQ(ds1.index().fps().str(f), ds8.index().fps().str(f));

@@ -4,6 +4,7 @@
 // injection. Plus the epoch sources and the live HTTP surface.
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,29 +81,55 @@ TEST(StreamIngestTest, CertReportsMatchColdBatchWithAndWithoutFaults) {
   // net/fault.hpp); per-(SNI,vantage,attempt) fault draws are not.
   for (const std::string& spec : {std::string(), std::string("seed=7,timeout=0.2")}) {
     for (int jobs : {1, 8}) {
-      IngestConfig config;
-      config.jobs = jobs;
-      config.certs = true;
-      if (!spec.empty()) config.fault = net::FaultSpec::parse(spec);
-      StreamIngest streamed(fleet.devices, config);
-      ReplaySource source(fleet.events, 3);
-      std::vector<devicesim::ClientHelloEvent> prefix;
-      while (auto batch = source.next_epoch()) {
-        prefix.insert(prefix.end(), batch->events.begin(),
-                      batch->events.end());
-        streamed.fold_epoch(batch->events);
+      // At min_users=2 an SNI can cross the threshold in a later epoch; the
+      // streamed side then probes it fresh next to memoized neighbours.
+      for (std::size_t min_users : {1, 2}) {
+        IngestConfig config;
+        config.jobs = jobs;
+        config.certs = true;
+        config.min_users = min_users;
+        if (!spec.empty()) config.fault = net::FaultSpec::parse(spec);
+        StreamIngest streamed(fleet.devices, config);
+        ReplaySource source(fleet.events, 3);
+        std::vector<devicesim::ClientHelloEvent> prefix;
+        std::set<std::string> below;  // seen SNIs not collected last epoch
+        std::size_t crossed = 0;
+        while (auto batch = source.next_epoch()) {
+          prefix.insert(prefix.end(), batch->events.begin(),
+                        batch->events.end());
+          streamed.fold_epoch(batch->events);
 
-        StreamIngest cold(fleet.devices, config);
-        cold.fold_epoch(prefix);
+          StreamIngest cold(fleet.devices, config);
+          cold.fold_epoch(prefix);
 
-        ASSERT_NE(streamed.certs(), nullptr);
-        ASSERT_NE(cold.certs(), nullptr);
-        ASSERT_EQ(streamed.certs()->records().size(),
-                  cold.certs()->records().size());
-        for (const std::string& name : reports) {
-          EXPECT_EQ(render(name, streamed), render(name, cold))
-              << name << " diverged at epoch " << streamed.epoch()
-              << " with jobs=" << jobs << " fault=\"" << spec << '"';
+          ASSERT_NE(streamed.certs(), nullptr);
+          ASSERT_NE(cold.certs(), nullptr);
+          ASSERT_EQ(streamed.certs()->records().size(),
+                    cold.certs()->records().size());
+          for (const std::string& name : reports) {
+            EXPECT_EQ(render(name, streamed), render(name, cold))
+                << name << " diverged at epoch " << streamed.epoch()
+                << " with jobs=" << jobs << " fault=\"" << spec
+                << "\" min_users=" << min_users;
+          }
+
+          std::set<std::string> collected;
+          for (const core::SniRecord& record : streamed.certs()->records()) {
+            collected.insert(record.sni);
+            crossed += below.count(record.sni);
+          }
+          below.clear();
+          const core::Interner& snis = streamed.client().index().snis();
+          for (std::uint32_t sni = 0; sni < snis.size(); ++sni) {
+            if (collected.count(snis.str(sni)) == 0) below.insert(snis.str(sni));
+          }
+        }
+        if (min_users == 2) {
+          // Non-vacuous: the threshold keeps some SNIs, drops others, and
+          // at least one SNI crossed it between epochs.
+          EXPECT_FALSE(streamed.certs()->records().empty());
+          EXPECT_FALSE(below.empty());
+          EXPECT_GT(crossed, 0u);
         }
       }
     }

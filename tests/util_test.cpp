@@ -419,5 +419,36 @@ TEST(Strings, SplitViewsFixedSpanReportsTotalFieldCount) {
   EXPECT_EQ(cols[0], "");
 }
 
+TEST(Strings, ParseU64AcceptsDigitsUpToMax) {
+  EXPECT_EQ(parse_u64("0", 10), 0u);
+  EXPECT_EQ(parse_u64("7", 10), 7u);
+  EXPECT_EQ(parse_u64("10", 10), 10u);      // max itself is in range
+  EXPECT_EQ(parse_u64("0010", 10), 10u);    // leading zeros are digits
+  EXPECT_EQ(parse_u64("65535", 65535), 65535u);
+  EXPECT_EQ(parse_u64("2147483647", 2147483647), 2147483647u);
+  EXPECT_EQ(parse_u64("18446744073709551615", UINT64_MAX), UINT64_MAX);
+}
+
+TEST(Strings, ParseU64RejectsSignsWhitespaceOverflowAndAboveMax) {
+  EXPECT_FALSE(parse_u64("11", 10));
+  EXPECT_FALSE(parse_u64("65536", 65535));
+  EXPECT_FALSE(parse_u64("2147483648", 2147483647));
+  // 2^32 + 1 would narrow to 1 through a 32-bit int.
+  EXPECT_FALSE(parse_u64("4294967297", 2147483647));
+  EXPECT_FALSE(parse_u64("18446744073709551616", UINT64_MAX));  // overflow
+  EXPECT_FALSE(parse_u64("99999999999999999999999", UINT64_MAX));
+  EXPECT_FALSE(parse_u64("-1", UINT64_MAX));  // strtoull would negate
+  EXPECT_FALSE(parse_u64("-0", UINT64_MAX));
+  EXPECT_FALSE(parse_u64("+1", UINT64_MAX));
+  EXPECT_FALSE(parse_u64(" 1", UINT64_MAX));
+  EXPECT_FALSE(parse_u64("1 ", UINT64_MAX));
+  EXPECT_FALSE(parse_u64("\t1", UINT64_MAX));
+  EXPECT_FALSE(parse_u64("", UINT64_MAX));
+  EXPECT_FALSE(parse_u64("1x", UINT64_MAX));
+  EXPECT_FALSE(parse_u64("0x10", UINT64_MAX));
+  EXPECT_FALSE(parse_u64("1e3", UINT64_MAX));
+  EXPECT_FALSE(parse_u64("1.0", UINT64_MAX));
+}
+
 }  // namespace
 }  // namespace iotls

@@ -51,9 +51,9 @@
 // `--serve-linger[=MS]` it stays up afterwards); `--trace-out=FILE` writes
 // the run's nested spans as Chrome trace-event JSON for Perfetto.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -139,14 +139,13 @@ int main(int argc, char** argv) {
       }
     }
     else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(argv[i] + 7, &end, 10);
-      if (end == argv[i] + 7 || *end != '\0') {
+      auto n = parse_u64(argv[i] + 7, std::numeric_limits<int>::max());
+      if (!n) {
         std::fprintf(stderr, "--jobs= wants a non-negative integer, got '%s'\n",
                      argv[i] + 7);
         return 2;
       }
-      jobs = static_cast<int>(n);
+      jobs = static_cast<int>(*n);
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::fprintf(stderr, "%s", kUsage);
@@ -269,7 +268,8 @@ int main(int argc, char** argv) {
                 drops.unknown_device, drops.no_client_hello, drops.parse_error);
   }
   std::printf("distinct fingerprints: %zu across %zu vendors and %zu SNIs\n\n",
-              ds.fingerprints().size(), ds.vendors().size(), ds.snis().size());
+              ds.index().fps().size(), ds.index().vendors().size(),
+              ds.index().snis().size());
 
   auto degree = core::fingerprint_degree_distribution(ds);
   std::printf("fingerprint degree: %s single-vendor, %zu shared by 2, "

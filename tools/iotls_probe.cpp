@@ -46,6 +46,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,6 +61,7 @@
 #include "obs_cli.hpp"
 #include "util/dates.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 #include "x509/validation.hpp"
 
 using namespace iotls;
@@ -77,16 +79,19 @@ void usage(std::FILE* out) {
                "                   [--serve-linger[=MS]] [--trace-out=FILE] [sni ...]\n");
 }
 
-/// Parse the numeric value of a `--flag=N` argument; exits on garbage.
-std::uint64_t flag_u64(const char* arg, const char* flag) {
+constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+
+/// Parse the numeric value of a `--flag=N` argument in [0, max]; exits on
+/// garbage.
+std::uint64_t flag_u64(const char* arg, const char* flag,
+                       std::uint64_t max = UINT64_MAX) {
   const char* value = arg + std::strlen(flag);
-  char* end = nullptr;
-  unsigned long long n = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
+  auto n = parse_u64(value, max);
+  if (!n) {
     std::fprintf(stderr, "%s wants a non-negative integer, got '%s'\n", flag, value);
     std::exit(2);
   }
-  return static_cast<std::uint64_t>(n);
+  return *n;
 }
 
 bool has_prefix(const char* arg, const char* prefix) {
@@ -115,19 +120,20 @@ int main(int argc, char** argv) {
     }
     else if (std::strcmp(argv[i], "--all") == 0) all = true;
     else if (has_prefix(argv[i], "--jobs=")) {
-      jobs = static_cast<int>(flag_u64(argv[i], "--jobs="));
+      jobs = static_cast<int>(flag_u64(argv[i], "--jobs=", kIntMax));
     }
     else if (std::strcmp(argv[i], "--stats") == 0) stats = StatsMode::kText;
     else if (std::strcmp(argv[i], "--stats=json") == 0) stats = StatsMode::kJson;
     else if (has_prefix(argv[i], "--retries=")) {
-      retry.max_attempts = 1 + static_cast<int>(flag_u64(argv[i], "--retries="));
+      retry.max_attempts =
+          1 + static_cast<int>(flag_u64(argv[i], "--retries=", kIntMax - 1));
     } else if (has_prefix(argv[i], "--backoff-ms=")) {
       retry.base_backoff_ms = flag_u64(argv[i], "--backoff-ms=");
     } else if (has_prefix(argv[i], "--retry-budget=")) {
       retry.retry_budget = flag_u64(argv[i], "--retry-budget=");
     } else if (has_prefix(argv[i], "--breaker=")) {
       breaker.failure_threshold =
-          static_cast<int>(flag_u64(argv[i], "--breaker="));
+          static_cast<int>(flag_u64(argv[i], "--breaker=", kIntMax));
     } else if (std::strcmp(argv[i], "--battery") == 0) {
       battery = true;
     } else if (has_prefix(argv[i], "--battery=")) {

@@ -38,9 +38,9 @@
 //   iotlsd: serving on 127.0.0.1:PORT
 // so scripts can scrape an ephemeral --port=0.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -54,6 +54,7 @@
 #include "stream/daemon.hpp"
 #include "stream/source.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 using namespace iotls;
 
@@ -73,12 +74,6 @@ std::string slurp(const char* path) {
   std::ostringstream out;
   out << f.rdbuf();
   return out.str();
-}
-
-bool parse_uint(const char* text, unsigned long long* out) {
-  char* end = nullptr;
-  *out = std::strtoull(text, &end, 10);
-  return end != text && *end == '\0';
 }
 
 int export_fleet(const std::string& prefix, int users, bool wire,
@@ -147,22 +142,27 @@ int main(int argc, char** argv) {
   stream::IngestConfig config;
   std::vector<const char*> paths;
 
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    unsigned long long n = 0;
-    if (std::strncmp(arg, "--port=", 7) == 0 && parse_uint(arg + 7, &n) &&
-        n <= 65535) {
-      port = n;
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0 && parse_uint(arg + 7, &n)) {
-      config.jobs = static_cast<int>(n);
-    } else if (std::strncmp(arg, "--epochs=", 9) == 0 &&
-               parse_uint(arg + 9, &n) && n >= 1) {
-      epochs = n;
-    } else if (std::strncmp(arg, "--min-users=", 12) == 0 &&
-               parse_uint(arg + 12, &n)) {
-      config.min_users = static_cast<std::size_t>(n);
-    } else if (std::strncmp(arg, "--users=", 8) == 0 && parse_uint(arg + 8, &n)) {
-      users = static_cast<int>(n);
+    // `--flag=N` with N in [0, max]; a malformed N reads as an unknown flag.
+    std::optional<std::uint64_t> n;
+    auto uint_flag = [&](const char* flag, std::uint64_t max) {
+      const std::size_t len = std::strlen(flag);
+      if (std::strncmp(arg, flag, len) != 0) return false;
+      n = parse_u64(arg + len, max);
+      return n.has_value();
+    };
+    if (uint_flag("--port=", 65535)) {
+      port = *n;
+    } else if (uint_flag("--jobs=", kIntMax)) {
+      config.jobs = static_cast<int>(*n);
+    } else if (uint_flag("--epochs=", UINT64_MAX) && *n >= 1) {
+      epochs = *n;
+    } else if (uint_flag("--min-users=", SIZE_MAX)) {
+      config.min_users = static_cast<std::size_t>(*n);
+    } else if (uint_flag("--users=", kIntMax)) {
+      users = static_cast<int>(*n);
     } else if (std::strcmp(arg, "--follow") == 0) {
       follow = true;
     } else if (std::strcmp(arg, "--certs") == 0) {
@@ -184,15 +184,16 @@ int main(int argc, char** argv) {
       devicesim::SyntheticFleetSpec spec;
       const char* rest = arg + 12;
       const char* comma = std::strchr(rest, ',');
-      unsigned long long d = 0, e = 0;
+      std::optional<std::uint64_t> d, e;
       bool ok;
       if (comma != nullptr) {
-        std::string head(rest, comma);
-        ok = parse_uint(head.c_str(), &d) && parse_uint(comma + 1, &e) &&
-             d >= 1 && e >= 1;
-        if (ok) spec.events_per_device = static_cast<std::size_t>(e);
+        d = parse_u64(std::string_view(rest, comma - rest), SIZE_MAX);
+        e = parse_u64(comma + 1, SIZE_MAX);
+        ok = d && e && *d >= 1 && *e >= 1;
+        if (ok) spec.events_per_device = static_cast<std::size_t>(*e);
       } else {
-        ok = parse_uint(rest, &d) && d >= 1;
+        d = parse_u64(rest, SIZE_MAX);
+        ok = d && *d >= 1;
       }
       if (!ok) {
         std::fprintf(stderr,
@@ -200,7 +201,7 @@ int main(int argc, char** argv) {
                      kUsage);
         return 2;
       }
-      spec.devices = static_cast<std::size_t>(d);
+      spec.devices = static_cast<std::size_t>(*d);
       synthetic = spec;
     } else if (arg[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n%s", arg, kUsage);

@@ -21,13 +21,13 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 
 #include "obs/export_plane.hpp"
 #include "obs/trace.hpp"
+#include "util/strings.hpp"
 
 namespace iotls::tools {
 
@@ -45,16 +45,15 @@ struct ObsCli {
   bool parse(const char* arg, bool* bad) {
     *bad = false;
     if (std::strncmp(arg, "--serve=", 8) == 0) {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(arg + 8, &end, 10);
-      if (end == arg + 8 || *end != '\0' || n > 65535) {
+      auto n = parse_u64(arg + 8, 65535);
+      if (!n) {
         std::fprintf(stderr, "--serve= wants a port in [0,65535], got '%s'\n",
                      arg + 8);
         *bad = true;
         return true;
       }
       serve = true;
-      port = static_cast<std::uint16_t>(n);
+      port = static_cast<std::uint16_t>(*n);
       return true;
     }
     if (std::strcmp(arg, "--serve-linger") == 0) {
@@ -63,16 +62,15 @@ struct ObsCli {
       return true;
     }
     if (std::strncmp(arg, "--serve-linger=", 15) == 0) {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(arg + 15, &end, 10);
-      if (end == arg + 15 || *end != '\0') {
+      auto n = parse_u64(arg + 15, UINT64_MAX);
+      if (!n) {
         std::fprintf(stderr,
                      "--serve-linger= wants milliseconds, got '%s'\n", arg + 15);
         *bad = true;
         return true;
       }
       linger = true;
-      linger_ms = n;
+      linger_ms = *n;
       return true;
     }
     if (std::strncmp(arg, "--trace-out=", 12) == 0) {
