@@ -51,20 +51,24 @@ struct DropCounts {
 class ClientDataset {
  public:
   /// Parse a fleet's events. Undecodable events are dropped (counted
-  /// per reason in drop_counts()). `jobs` > 1 parses wire bytes on a
-  /// worker pool (0 = hardware concurrency); the index fold stays
-  /// sequential in input order, so the resulting dataset is identical to
-  /// the jobs=1 build bit for bit.
+  /// per reason in drop_counts()). `jobs` > 1 runs the parallel phases of
+  /// append_events' block fold on a worker pool (0 = hardware
+  /// concurrency); interning stays sequential in input order, so the
+  /// resulting dataset is identical to the jobs=1 build bit for bit.
   static ClientDataset from_fleet(const devicesim::FleetDataset& fleet,
                                   const tls::FingerprintOptions& opts = {},
                                   int jobs = 1);
 
   /// Incremental ingest: parse `events` (devices resolved against `devices`)
-  /// and fold them into the dataset after whatever is already there. Parsing
-  /// runs on `jobs` workers; the fold is sequential in arrival order, so any
-  /// epoch split of one event stream builds the same dataset as a single
-  /// batch call over the concatenation, bit for bit. Call finalize() before
-  /// reading the index.
+  /// and fold them into the dataset after whatever is already there. The
+  /// fold walks fixed 4,096-event blocks on one pool of `jobs` workers, in
+  /// three phases per block: (A) parse, fingerprint and read-only id lookup
+  /// in parallel; (B) drops and interning of the missed ids, sequential in
+  /// arrival order; (C) posting-list appends, one relation per task. Ingest
+  /// memory is O(block) plus the index (plus events() when retained), and
+  /// any epoch split of one event stream builds the same dataset as a
+  /// single batch call over the concatenation, bit for bit. Call finalize()
+  /// before reading the index.
   void append_events(const std::vector<devicesim::ClientHelloEvent>& events,
                      const std::vector<devicesim::Device>& devices,
                      const tls::FingerprintOptions& opts = {}, int jobs = 1);

@@ -2,39 +2,58 @@
 
 #include <algorithm>
 
-#include "core/dataset.hpp"
 
 namespace iotls::core {
 
-void DatasetIndex::DirtyRows::note(std::uint32_t row) {
-  if (row >= noted.size()) noted.resize(row + 1, 0);
-  if (noted[row]) return;
-  noted[row] = 1;
-  rows.push_back(row);
-}
-
-void DatasetIndex::DirtyRows::clear() {
-  for (std::uint32_t row : rows) noted[row] = 0;
-  rows.clear();
-}
-
 /// Append to a posting list, skipping the (very common) case of consecutive
 /// duplicates; full dedup happens in finalize(). `row` may be first-seen.
-void DatasetIndex::append(std::vector<PostingList>& lists, DirtyRows& dirty,
-                          std::uint32_t row, std::uint32_t id) {
+void DatasetIndex::Relation::append(std::uint32_t row, std::uint32_t id) {
   if (row >= lists.size()) lists.resize(row + 1);
   PostingList& list = lists[row];
   if (!list.empty() && list.back() == id) return;
   list.push_back(id);
-  dirty.note(row);
+  if (row >= noted.size()) noted.resize(row + 1, 0);
+  if (noted[row]) return;
+  noted[row] = 1;
+  dirty.push_back(row);
 }
 
+/// Delta re-sort: only rows appended to since the last finalize need a
+/// sort/unique pass; every other row kept its sorted-unique form.
+void DatasetIndex::Relation::sort_dirty() {
+  for (std::uint32_t row : dirty) {
+    PostingList& list = lists[row];
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    noted[row] = 0;
+  }
+  dirty.clear();
+}
+
+/// Each relation with the event ids that pick its row and its entry.
+struct DatasetIndex::RelationSpec {
+  Relation DatasetIndex::*relation;
+  std::uint32_t EventIds::*row;
+  std::uint32_t EventIds::*id;
+};
+
+const DatasetIndex::RelationSpec DatasetIndex::kRelationSpecs[kRelations] = {
+    {&DatasetIndex::fp_vendors_, &EventIds::fp, &EventIds::vendor},
+    {&DatasetIndex::fp_devices_, &EventIds::fp, &EventIds::device},
+    {&DatasetIndex::fp_snis_, &EventIds::fp, &EventIds::sni},
+    {&DatasetIndex::vendor_fps_, &EventIds::vendor, &EventIds::fp},
+    {&DatasetIndex::device_fps_, &EventIds::device, &EventIds::fp},
+    {&DatasetIndex::sni_devices_, &EventIds::sni, &EventIds::device},
+    {&DatasetIndex::sni_vendors_, &EventIds::sni, &EventIds::vendor},
+    {&DatasetIndex::sni_fps_, &EventIds::sni, &EventIds::fp},
+    {&DatasetIndex::sni_users_, &EventIds::sni, &EventIds::user},
+};
 
 void DatasetIndex::reserve(std::size_t expected_devices,
                            std::size_t expected_events) {
   devices_.reserve(expected_devices);
   device_vendor_.reserve(expected_devices);
-  device_fps_.reserve(expected_devices);
+  device_fps_.lists.reserve(expected_devices);
   // Fingerprint/SNI universes are far smaller than the event stream; a
   // sqrt-ish hint avoids rehashing without overcommitting.
   std::size_t hint = expected_events / 8 + 16;
@@ -42,52 +61,39 @@ void DatasetIndex::reserve(std::size_t expected_devices,
   snis_.reserve(hint);
 }
 
-void DatasetIndex::record(ParsedEvent& ev) {
-  ev.vendor_ix = vendors_.intern(ev.vendor);
-  ev.device_ix = devices_.intern(ev.device_id);
-  ev.user_ix = users_.intern(ev.user);
-  ev.sni_ix = snis_.intern(ev.sni);
-  ev.fp_ix = fps_.intern(ev.fp_key);
-  if (ev.fp_ix == fp_values_.size()) fp_values_.push_back(ev.fp);
+void DatasetIndex::find(const EventKeys& keys, EventIds& ids) const {
+  if (ids.vendor == Interner::kNone) ids.vendor = vendors_.find(keys.vendor);
+  if (ids.device == Interner::kNone) ids.device = devices_.find(keys.device);
+  if (ids.user == Interner::kNone) ids.user = users_.find(keys.user);
+  if (ids.sni == Interner::kNone) ids.sni = snis_.find(keys.sni);
+  if (ids.fp == Interner::kNone) ids.fp = fps_.find(keys.fp_key);
+}
 
-  append(fp_vendors_, dirty_fp_vendors_, ev.fp_ix, ev.vendor_ix);
-  append(fp_devices_, dirty_fp_devices_, ev.fp_ix, ev.device_ix);
-  append(fp_snis_, dirty_fp_snis_, ev.fp_ix, ev.sni_ix);
-  append(vendor_fps_, dirty_vendor_fps_, ev.vendor_ix, ev.fp_ix);
-  append(device_fps_, dirty_device_fps_, ev.device_ix, ev.fp_ix);
-  append(sni_devices_, dirty_sni_devices_, ev.sni_ix, ev.device_ix);
-  append(sni_vendors_, dirty_sni_vendors_, ev.sni_ix, ev.vendor_ix);
-  append(sni_fps_, dirty_sni_fps_, ev.sni_ix, ev.fp_ix);
-  append(sni_users_, dirty_sni_users_, ev.sni_ix, ev.user_ix);
+void DatasetIndex::intern(const EventKeys& keys, const tls::Fingerprint& fp,
+                          EventIds& ids) {
+  if (ids.vendor == Interner::kNone) ids.vendor = vendors_.intern(keys.vendor);
+  if (ids.device == Interner::kNone) ids.device = devices_.intern(keys.device);
+  if (ids.user == Interner::kNone) ids.user = users_.intern(keys.user);
+  if (ids.sni == Interner::kNone) ids.sni = snis_.intern(keys.sni);
+  if (ids.fp == Interner::kNone) ids.fp = fps_.intern(keys.fp_key);
+  if (ids.fp == fp_values_.size()) fp_values_.push_back(fp);
 
-  if (ev.device_ix >= device_vendor_.size()) device_vendor_.resize(ev.device_ix + 1);
-  device_vendor_[ev.device_ix] = ev.vendor_ix;
+  if (ids.device >= device_vendor_.size()) device_vendor_.resize(ids.device + 1);
+  device_vendor_[ids.device] = ids.vendor;
+}
+
+void DatasetIndex::append(std::size_t relation, std::span<const EventIds> block) {
+  const RelationSpec& spec = kRelationSpecs[relation];
+  Relation& lists = this->*spec.relation;
+  for (const EventIds& ids : block) lists.append(ids.*spec.row, ids.*spec.id);
 }
 
 void DatasetIndex::finalize() {
-  // Delta re-sort: only rows appended to since the last finalize need a
-  // sort/unique pass; every other row kept its sorted-unique form.
-  auto sort_unique_dirty = [](std::vector<PostingList>& lists, DirtyRows& dirty) {
-    for (std::uint32_t row : dirty.rows) {
-      PostingList& list = lists[row];
-      std::sort(list.begin(), list.end());
-      list.erase(std::unique(list.begin(), list.end()), list.end());
-    }
-    dirty.clear();
-  };
-  sort_unique_dirty(fp_vendors_, dirty_fp_vendors_);
-  sort_unique_dirty(fp_devices_, dirty_fp_devices_);
-  sort_unique_dirty(fp_snis_, dirty_fp_snis_);
-  sort_unique_dirty(vendor_fps_, dirty_vendor_fps_);
-  sort_unique_dirty(device_fps_, dirty_device_fps_);
-  sort_unique_dirty(sni_devices_, dirty_sni_devices_);
-  sort_unique_dirty(sni_vendors_, dirty_sni_vendors_);
-  sort_unique_dirty(sni_fps_, dirty_sni_fps_);
-  sort_unique_dirty(sni_users_, dirty_sni_users_);
+  for (const RelationSpec& spec : kRelationSpecs) (this->*spec.relation).sort_dirty();
 
   vendor_fp_bits_.assign(vendors_.size(), Bitset(fps_.size()));
-  for (std::uint32_t v = 0; v < vendor_fps_.size(); ++v) {
-    for (std::uint32_t f : vendor_fps_[v]) vendor_fp_bits_[v].set(f);
+  for (std::uint32_t v = 0; v < vendor_fps_.lists.size(); ++v) {
+    for (std::uint32_t f : vendor_fps_.lists[v]) vendor_fp_bits_[v].set(f);
   }
 
   vendors_by_name_ = vendors_.ids_by_string();

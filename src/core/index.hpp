@@ -3,14 +3,20 @@
 // Replaces the seed's twelve map<string, set<string>> indexes with posting
 // lists (sorted vector<uint32_t>) over dense interned ids, plus per-vendor
 // bitsets over the fingerprint domain for the Table 4 Jaccard analysis.
-// Built in the sequential fold of ClientDataset::from_fleet (event order),
-// so ids and posting lists are bit-identical at every --jobs level. Every
-// §4 analysis and the §5.1 SNI walk read it directly; row orders that
-// follow the seed's std::map iteration come from the lexicographic id
+// ClientDataset::append_events feeds it one fixed-size block of events at a
+// time, in three phases: find() looks ids up read-only on the parse
+// workers, intern() interns only the misses sequentially in input order,
+// and append() extends one relation's posting lists per pool task, walking
+// the block in input order. Ids and posting
+// lists are therefore bit-identical at every --jobs level. Every §4
+// analysis and the §5.1 SNI walk read it directly; row orders that follow
+// the seed's std::map iteration come from the lexicographic id
 // permutations below.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/interner.hpp"
@@ -18,7 +24,20 @@
 
 namespace iotls::core {
 
-struct ParsedEvent;
+/// The strings one parsed event is interned under.
+struct EventKeys {
+  std::string_view vendor, device, user, sni, fp_key;
+};
+
+/// One event's interned ids; Interner::kNone marks a string not yet
+/// interned (find() before intern()).
+struct EventIds {
+  std::uint32_t vendor = Interner::kNone;
+  std::uint32_t device = Interner::kNone;
+  std::uint32_t user = Interner::kNone;
+  std::uint32_t sni = Interner::kNone;
+  std::uint32_t fp = Interner::kNone;
+};
 
 class DatasetIndex {
  public:
@@ -38,15 +57,15 @@ class DatasetIndex {
   // Posting lists, indexed by the row domain's id; sorted-unique after
   // finalize(). fp_vendors()[f] are the vendor ids seen with fingerprint f,
   // and so on — the same relations as the seed's string maps.
-  const std::vector<PostingList>& fp_vendors() const { return fp_vendors_; }
-  const std::vector<PostingList>& fp_devices() const { return fp_devices_; }
-  const std::vector<PostingList>& fp_snis() const { return fp_snis_; }
-  const std::vector<PostingList>& vendor_fps() const { return vendor_fps_; }
-  const std::vector<PostingList>& device_fps() const { return device_fps_; }
-  const std::vector<PostingList>& sni_devices() const { return sni_devices_; }
-  const std::vector<PostingList>& sni_vendors() const { return sni_vendors_; }
-  const std::vector<PostingList>& sni_fps() const { return sni_fps_; }
-  const std::vector<PostingList>& sni_users() const { return sni_users_; }
+  const std::vector<PostingList>& fp_vendors() const { return fp_vendors_.lists; }
+  const std::vector<PostingList>& fp_devices() const { return fp_devices_.lists; }
+  const std::vector<PostingList>& fp_snis() const { return fp_snis_.lists; }
+  const std::vector<PostingList>& vendor_fps() const { return vendor_fps_.lists; }
+  const std::vector<PostingList>& device_fps() const { return device_fps_.lists; }
+  const std::vector<PostingList>& sni_devices() const { return sni_devices_.lists; }
+  const std::vector<PostingList>& sni_vendors() const { return sni_vendors_.lists; }
+  const std::vector<PostingList>& sni_fps() const { return sni_fps_.lists; }
+  const std::vector<PostingList>& sni_users() const { return sni_users_.lists; }
 
   /// device id -> vendor id (a total function on interned devices).
   std::uint32_t device_vendor(std::uint32_t device) const {
@@ -69,9 +88,26 @@ class DatasetIndex {
   /// Size hints from the raw fleet (satellite: reserve before the fold).
   void reserve(std::size_t expected_devices, std::size_t expected_events);
 
-  /// Intern one parsed event (sequential fold, input order). Fills the
-  /// event's *_ix fields and appends to the posting lists.
-  void record(ParsedEvent& ev);
+  /// Look up each id of `ids` that is still kNone; it stays kNone when its
+  /// key was never interned. Read-only, so the parse workers call it
+  /// concurrently (nothing may intern meanwhile).
+  void find(const EventKeys& keys, EventIds& ids) const;
+
+  /// Intern each id of `ids` that is still kNone, in the order vendor,
+  /// device, user, sni, fp, and record the fingerprint value and the
+  /// device's vendor. Called sequentially in input order, so first-seen ids
+  /// do not depend on how the stream was blocked or split into epochs.
+  void intern(const EventKeys& keys, const tls::Fingerprint& fp, EventIds& ids);
+
+  /// Number of posting-list relations (fp_vendors() ... sni_users()).
+  static constexpr std::size_t kRelations = 9;
+
+  /// Append a block of interned events, in block order, to relation
+  /// `relation` (< kRelations). Each relation owns its lists and dirty
+  /// rows, so the relations of one block may be appended concurrently with
+  /// each other and with find(); every list (unsorted until finalize)
+  /// equals an event-at-a-time fold.
+  void append(std::size_t relation, std::span<const EventIds> block);
 
   /// Sort/unique the posting lists, build the vendor bitsets and the
   /// lexicographic permutations. Callable repeatedly: the streaming ingest
@@ -83,30 +119,26 @@ class DatasetIndex {
   void finalize();
 
  private:
-  /// Rows of one relation appended to since the last finalize().
-  struct DirtyRows {
-    std::vector<std::uint32_t> rows;
-    std::vector<std::uint8_t> noted;  // row id -> already in `rows`
+  /// One row -> ids relation, with the rows appended to since the last
+  /// finalize() (only those need a re-sort).
+  struct Relation {
+    std::vector<PostingList> lists;
+    std::vector<std::uint32_t> dirty;
+    std::vector<std::uint8_t> noted;  // row id -> already in `dirty`
 
-    void note(std::uint32_t row);
-    void clear();
+    void append(std::uint32_t row, std::uint32_t id);
+    void sort_dirty();
   };
-
-  void append(std::vector<PostingList>& lists, DirtyRows& dirty,
-              std::uint32_t row, std::uint32_t id);
+  struct RelationSpec;
+  static const RelationSpec kRelationSpecs[kRelations];
 
   Interner vendors_, devices_, users_, snis_, fps_;
   std::vector<tls::Fingerprint> fp_values_;
 
-  std::vector<PostingList> fp_vendors_, fp_devices_, fp_snis_;
-  std::vector<PostingList> vendor_fps_, device_fps_;
-  std::vector<PostingList> sni_devices_, sni_vendors_, sni_fps_, sni_users_;
+  Relation fp_vendors_, fp_devices_, fp_snis_;
+  Relation vendor_fps_, device_fps_;
+  Relation sni_devices_, sni_vendors_, sni_fps_, sni_users_;
   std::vector<std::uint32_t> device_vendor_;
-
-  DirtyRows dirty_fp_vendors_, dirty_fp_devices_, dirty_fp_snis_;
-  DirtyRows dirty_vendor_fps_, dirty_device_fps_;
-  DirtyRows dirty_sni_devices_, dirty_sni_vendors_, dirty_sni_fps_,
-      dirty_sni_users_;
 
   std::vector<Bitset> vendor_fp_bits_;
   std::vector<std::uint32_t> vendors_by_name_, devices_by_name_, snis_by_name_,

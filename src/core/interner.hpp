@@ -19,8 +19,8 @@
 namespace iotls::core {
 
 /// String <-> dense uint32 id map. Ids are assigned in first-seen order, so
-/// an input processed in deterministic order (the sequential index fold)
-/// yields the same ids on every run and at every --jobs level.
+/// an input processed in deterministic order (the index fold's sequential
+/// intern phase) yields the same ids on every run and at every --jobs level.
 class Interner {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;

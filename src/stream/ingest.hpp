@@ -4,7 +4,8 @@
 // CertDataset rebuild), folding one epoch of raw events at a time:
 //
 //   fold_epoch(events):
-//     1. client.append_events(events)  — parallel parse, sequential fold
+//     1. client.append_events(events)  — block fold: parallel parse,
+//        in-order intern of new ids, per-relation parallel appends,
 //        appended after everything already ingested;
 //     2. client.finalize()             — delta re-sort of dirty posting-list
 //        rows, full bitset/permutation rebuild;

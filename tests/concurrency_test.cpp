@@ -11,6 +11,8 @@
 //     the quarantine invariant (attempts == 0) on every shard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -23,8 +25,11 @@
 #include "net/prober.hpp"
 #include "net/retry.hpp"
 #include "net/survey_json.hpp"
+#include "tls/record.hpp"
 #include "util/dates.hpp"
 #include "x509/authority.hpp"
+
+#include "seed_maps.hpp"
 
 namespace iotls::net {
 namespace {
@@ -299,3 +304,248 @@ TEST(ParallelAnalysis, DatasetAndCorpusMatchEqualSequential) {
 
 }  // namespace
 }  // namespace iotls::net
+
+// ------------------------------------------------- §4 block fold identity
+//
+// ClientDataset::append_events folds 4,096-event blocks: a parallel parse
+// with read-only id lookups, an in-order intern of the misses, then one
+// posting-list task per relation. The fleet below straddles three block
+// boundaries, drops one event of each kind right at the first boundary, and
+// keeps introducing new strings in every block, so a fold that interned out
+// of order, lost a miss to a concurrent lookup or appended a relation out of
+// order would differ from the jobs=1 single-call build somewhere.
+
+namespace iotls::core {
+namespace {
+
+constexpr std::size_t kFoldBlock = 4096;
+constexpr std::size_t kFoldEvents = 3 * kFoldBlock + 17;
+
+devicesim::ClientHelloEvent fold_event(const std::string& device,
+                                       const std::string& sni,
+                                       std::size_t fp, std::int64_t day) {
+  tls::ClientHello ch;
+  ch.cipher_suites = {0xc02f, static_cast<std::uint16_t>(0x1301 + fp % 7),
+                      static_cast<std::uint16_t>(0x0a00 + fp)};
+  ch.extensions.push_back({10, {}});
+  if (fp % 3 == 0) ch.extensions.push_back({11, {}});
+  ch.set_sni(sni);
+  Bytes msg = ch.encode();
+  devicesim::ClientHelloEvent event;
+  event.device_id = device;
+  event.day = day;
+  event.sni = sni;
+  event.wire = tls::encode_records(tls::ContentType::kHandshake, 0x0303,
+                                   BytesView(msg.data(), msg.size()));
+  return event;
+}
+
+/// 3 x 4096 + 17 events whose device, vendor, user, SNI and fingerprint
+/// universes grow through every block, with the three drop kinds at
+/// positions 4095, 4096 and 4097.
+const devicesim::FleetDataset& fold_fleet() {
+  static const devicesim::FleetDataset fleet = [] {
+    devicesim::FleetDataset f;
+    constexpr std::size_t kDevices = 300;
+    for (std::size_t d = 0; d < kDevices; ++d) {
+      f.devices.push_back({"dev-" + std::to_string(d),
+                           "Vendor" + std::to_string(d % 9),
+                           "Type" + std::to_string(d % 4),
+                           "user-" + std::to_string(d % 40)});
+    }
+    for (std::size_t k = 0; k < kFoldEvents; ++k) {
+      // Each universe's bound grows with k, so first occurrences are spread
+      // over all blocks and most strings recur within and after their block.
+      std::size_t h = (k * 2654435761u) >> 7;
+      std::size_t device = h % std::min(kDevices, 10 + k / 40);
+      std::size_t sni = (k * k + 3 * k) % (5 + k / 60);
+      std::size_t fp = (k * 31 + device) % (3 + k / 300);
+      f.events.push_back(fold_event("dev-" + std::to_string(device),
+                                    "host" + std::to_string(sni) + ".fold.example",
+                                    fp, 18000 + static_cast<std::int64_t>(k % 90)));
+    }
+    // A string first seen just past a boundary, recurring in the same block
+    // and in the next one.
+    for (std::size_t k : {4098u, 4099u, 4200u, 8192u, 8193u}) {
+      f.events[k] = fold_event("dev-7", "late.fold.example", 1000, 18000);
+    }
+    f.events[4095].device_id = "ghost";   // unknown device
+    f.events[4096].wire = {0x16, 0x03};   // not a record stream
+    tls::ClientHello ch;                  // records carrying no ClientHello
+    Bytes body = ch.encode();
+    Bytes server_hello = tls::encode_handshake(tls::HandshakeType::kServerHello,
+                                               BytesView(body.data(), body.size()));
+    f.events[4097].wire = tls::encode_records(
+        tls::ContentType::kHandshake, 0x0303,
+        BytesView(server_hello.data(), server_hello.size()));
+    return f;
+  }();
+  return fleet;
+}
+
+/// Fold `fleet` in epochs cut at `cuts`, finalizing after each epoch as the
+/// streaming ingest does.
+ClientDataset fold_in_epochs(const devicesim::FleetDataset& fleet,
+                             std::vector<std::size_t> cuts, int jobs,
+                             bool retain = true) {
+  ClientDataset ds;
+  ds.set_retain_events(retain);
+  cuts.push_back(fleet.events.size());
+  std::size_t begin = 0;
+  for (std::size_t end : cuts) {
+    std::vector<devicesim::ClientHelloEvent> epoch(
+        fleet.events.begin() + static_cast<std::ptrdiff_t>(begin),
+        fleet.events.begin() + static_cast<std::ptrdiff_t>(end));
+    ds.append_events(epoch, fleet.devices, {}, jobs);
+    ds.finalize();
+    begin = end;
+  }
+  return ds;
+}
+
+std::vector<std::string> strings_of(const Interner& in) {
+  std::vector<std::string> out;
+  for (std::uint32_t id = 0; id < in.size(); ++id) out.push_back(in.str(id));
+  return out;
+}
+
+void expect_same_index(const ClientDataset& got, const ClientDataset& want) {
+  const DatasetIndex& g = got.index();
+  const DatasetIndex& w = want.index();
+  EXPECT_EQ(strings_of(g.vendors()), strings_of(w.vendors()));
+  EXPECT_EQ(strings_of(g.devices()), strings_of(w.devices()));
+  EXPECT_EQ(strings_of(g.users()), strings_of(w.users()));
+  EXPECT_EQ(strings_of(g.snis()), strings_of(w.snis()));
+  EXPECT_EQ(strings_of(g.fps()), strings_of(w.fps()));
+  EXPECT_EQ(g.fp_vendors(), w.fp_vendors());
+  EXPECT_EQ(g.fp_devices(), w.fp_devices());
+  EXPECT_EQ(g.fp_snis(), w.fp_snis());
+  EXPECT_EQ(g.vendor_fps(), w.vendor_fps());
+  EXPECT_EQ(g.device_fps(), w.device_fps());
+  EXPECT_EQ(g.sni_devices(), w.sni_devices());
+  EXPECT_EQ(g.sni_vendors(), w.sni_vendors());
+  EXPECT_EQ(g.sni_fps(), w.sni_fps());
+  EXPECT_EQ(g.sni_users(), w.sni_users());
+  ASSERT_EQ(g.devices().size(), w.devices().size());
+  for (std::uint32_t d = 0; d < w.devices().size(); ++d) {
+    EXPECT_EQ(g.device_vendor(d), w.device_vendor(d)) << d;
+  }
+  ASSERT_EQ(g.fps().size(), w.fps().size());
+  for (std::uint32_t f = 0; f < w.fps().size(); ++f) {
+    EXPECT_EQ(g.fp_value(f), w.fp_value(f)) << f;
+  }
+  EXPECT_EQ(got.drop_counts().unknown_device, want.drop_counts().unknown_device);
+  EXPECT_EQ(got.drop_counts().no_client_hello, want.drop_counts().no_client_hello);
+  EXPECT_EQ(got.drop_counts().parse_error, want.drop_counts().parse_error);
+}
+
+void expect_same_dataset(const ClientDataset& got, const ClientDataset& want) {
+  expect_same_index(got, want);
+  ASSERT_EQ(got.events().size(), want.events().size());
+  for (std::size_t i = 0; i < want.events().size(); ++i) {
+    const ParsedEvent& g = got.events()[i];
+    const ParsedEvent& w = want.events()[i];
+    EXPECT_EQ(g.device_id, w.device_id) << i;
+    EXPECT_EQ(g.vendor, w.vendor) << i;
+    EXPECT_EQ(g.type, w.type) << i;
+    EXPECT_EQ(g.user, w.user) << i;
+    EXPECT_EQ(g.day, w.day) << i;
+    EXPECT_EQ(g.sni, w.sni) << i;
+    EXPECT_EQ(g.hello, w.hello) << i;
+    EXPECT_EQ(g.fp, w.fp) << i;
+    EXPECT_EQ(g.fp_key, w.fp_key) << i;
+    EXPECT_EQ(g.device_ix, w.device_ix) << i;
+    EXPECT_EQ(g.vendor_ix, w.vendor_ix) << i;
+    EXPECT_EQ(g.user_ix, w.user_ix) << i;
+    EXPECT_EQ(g.sni_ix, w.sni_ix) << i;
+    EXPECT_EQ(g.fp_ix, w.fp_ix) << i;
+  }
+}
+
+const ClientDataset& fold_reference() {
+  static const ClientDataset ds = fold_in_epochs(fold_fleet(), {}, 1);
+  return ds;
+}
+
+TEST(BlockFold, ReferenceDropsEachKindAtTheBoundary) {
+  const ClientDataset& ref = fold_reference();
+  EXPECT_EQ(ref.drop_counts().unknown_device, 1u);
+  EXPECT_EQ(ref.drop_counts().parse_error, 1u);
+  EXPECT_EQ(ref.drop_counts().no_client_hello, 1u);
+  EXPECT_EQ(ref.events().size(), kFoldEvents - 3);
+  // Every universe kept growing past the first block.
+  const std::uint32_t late_sni = ref.index().snis().find("late.fold.example");
+  ASSERT_NE(late_sni, Interner::kNone);
+  EXPECT_EQ(ref.events()[4095].sni_ix, late_sni);  // event 4098, 3 drops before
+  EXPECT_GT(ref.index().devices().size(), 200u);
+  EXPECT_GT(ref.index().snis().size(), 150u);
+  EXPECT_GT(ref.index().fps().size(), 30u);
+}
+
+TEST(BlockFold, IdenticalAtEveryJobsLevel) {
+  for (int jobs : {2, 8}) {
+    SCOPED_TRACE(jobs);
+    expect_same_dataset(fold_in_epochs(fold_fleet(), {}, jobs), fold_reference());
+  }
+}
+
+TEST(BlockFold, IdenticalUnderEpochSplits) {
+  for (std::size_t cut : {1u, 4095u, 4096u, 4097u}) {
+    SCOPED_TRACE(cut);
+    expect_same_dataset(fold_in_epochs(fold_fleet(), {cut}, 4), fold_reference());
+  }
+  std::mt19937 rng(20231024);
+  std::vector<std::size_t> cuts;
+  for (int i = 0; i < 5; ++i) {
+    cuts.push_back(std::uniform_int_distribution<std::size_t>(1, kFoldEvents - 1)(rng));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  expect_same_dataset(fold_in_epochs(fold_fleet(), cuts, 2), fold_reference());
+}
+
+TEST(BlockFold, RetainEventsDoesNotChangeTheIndex) {
+  ClientDataset lean = fold_in_epochs(fold_fleet(), {4096}, 8, false);
+  EXPECT_TRUE(lean.events().empty());
+  expect_same_index(lean, fold_reference());
+}
+
+TEST(BlockFold, IndexMatchesSeedMapsFromEvents) {
+  const ClientDataset& ref = fold_reference();
+  const DatasetIndex& ix = ref.index();
+  const SeedMaps seed(ref);
+  using SetMap = SeedMaps::SetMap;
+  auto as_strings = [](const Interner& rows, const Interner& cols,
+                       const std::vector<PostingList>& lists) {
+    SetMap out;
+    for (std::uint32_t r = 0; r < lists.size(); ++r) {
+      for (std::uint32_t c : lists[r]) out[rows.str(r)].insert(cols.str(c));
+    }
+    return out;
+  };
+  EXPECT_EQ(as_strings(ix.fps(), ix.vendors(), ix.fp_vendors()), seed.fp_vendors);
+  EXPECT_EQ(as_strings(ix.fps(), ix.snis(), ix.fp_snis()), seed.fp_snis);
+  EXPECT_EQ(as_strings(ix.vendors(), ix.fps(), ix.vendor_fps()), seed.vendor_fps);
+  EXPECT_EQ(as_strings(ix.devices(), ix.fps(), ix.device_fps()), seed.device_fps);
+  EXPECT_EQ(as_strings(ix.snis(), ix.devices(), ix.sni_devices()), seed.sni_devices);
+  EXPECT_EQ(as_strings(ix.snis(), ix.vendors(), ix.sni_vendors()), seed.sni_vendors);
+  EXPECT_EQ(as_strings(ix.snis(), ix.fps(), ix.sni_fps()), seed.sni_fps);
+  EXPECT_EQ(as_strings(ix.snis(), ix.users(), ix.sni_users()), seed.sni_users);
+  std::map<std::string, std::string> device_vendor;
+  for (std::uint32_t d = 0; d < ix.devices().size(); ++d) {
+    device_vendor[ix.devices().str(d)] = ix.vendors().str(ix.device_vendor(d));
+  }
+  EXPECT_EQ(device_vendor, seed.device_vendor);
+  ASSERT_EQ(ix.fps().size(), seed.fingerprints.size());
+  for (const auto& [key, fp] : seed.fingerprints) {
+    EXPECT_EQ(ix.fp_value(ix.fps().find(key)), fp) << key;
+  }
+  // Posting lists are sorted-unique after finalize.
+  for (const PostingList& list : ix.sni_devices()) {
+    EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
+    EXPECT_EQ(std::adjacent_find(list.begin(), list.end()), list.end());
+  }
+}
+
+}  // namespace
+}  // namespace iotls::core

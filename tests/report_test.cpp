@@ -1,9 +1,21 @@
 // Tests for the report renderers.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "core/dataset.hpp"
+#include "core/device_metrics.hpp"
+#include "core/vendor_metrics.hpp"
+#include "devicesim/fleet.hpp"
 #include "report/chart.hpp"
 #include "report/dot.hpp"
 #include "report/table.hpp"
+
+#ifndef IOTLS_TEST_DATA_DIR
+#define IOTLS_TEST_DATA_DIR "tests/data"
+#endif
 
 namespace iotls::report {
 namespace {
@@ -82,6 +94,37 @@ TEST(Dot, TypeClusterGraphWellFormed) {
   std::string dot = type_cluster_dot(stats);
   EXPECT_NE(dot.find("Echo"), std::string::npos);
   EXPECT_NE(dot.find("--"), std::string::npos);
+}
+
+std::string golden(const std::string& name) {
+  std::ifstream in(std::string(IOTLS_TEST_DATA_DIR) + "/" + name, std::ios::binary);
+  EXPECT_TRUE(in) << name;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// The standard paper fleet's client dataset, as the Fig. 1/3 benches
+/// build it.
+const core::ClientDataset& standard_client() {
+  static const core::ClientDataset ds = [] {
+    auto corpus = corpus::LibraryCorpus::standard();
+    auto universe = devicesim::ServerUniverse::standard();
+    return core::ClientDataset::from_fleet(
+        devicesim::generate_fleet({}, corpus, universe));
+  }();
+  return ds;
+}
+
+// The Fig. 1 and Fig. 3 renderings of the standard fleet, byte for byte.
+TEST(Dot, VendorGraphMatchesGolden) {
+  EXPECT_EQ(vendor_fp_dot(core::vendor_fp_graph(standard_client())),
+            golden("fig01_vendor_graph.dot"));
+}
+
+TEST(Dot, AmazonTypeClustersMatchGolden) {
+  EXPECT_EQ(type_cluster_dot(core::type_clusters(standard_client(), "Amazon")),
+            golden("fig03_amazon_types.dot"));
 }
 
 }  // namespace

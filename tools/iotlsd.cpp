@@ -145,24 +145,33 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    // `--flag=N` with N in [0, max]; a malformed N reads as an unknown flag.
+    // `--flag=N` with N in [min, max]. A malformed or out-of-range N is a
+    // usage error that names the flag and the value.
     std::optional<std::uint64_t> n;
-    auto uint_flag = [&](const char* flag, std::uint64_t max) {
+    bool bad_number = false;
+    auto uint_flag = [&](const char* flag, std::uint64_t min, std::uint64_t max,
+                         const char* wants) {
       const std::size_t len = std::strlen(flag);
       if (std::strncmp(arg, flag, len) != 0) return false;
       n = parse_u64(arg + len, max);
-      return n.has_value();
+      if (n && *n >= min) return true;
+      std::fprintf(stderr, "%s wants %s, got '%s'\n", flag, wants, arg + len);
+      bad_number = true;
+      return false;
     };
-    if (uint_flag("--port=", 65535)) {
+    constexpr const char* kNonNegative = "a non-negative integer";
+    if (uint_flag("--port=", 0, 65535, "an integer from 0 to 65535")) {
       port = *n;
-    } else if (uint_flag("--jobs=", kIntMax)) {
+    } else if (uint_flag("--jobs=", 0, kIntMax, kNonNegative)) {
       config.jobs = static_cast<int>(*n);
-    } else if (uint_flag("--epochs=", UINT64_MAX) && *n >= 1) {
+    } else if (uint_flag("--epochs=", 1, UINT64_MAX, "a positive integer")) {
       epochs = *n;
-    } else if (uint_flag("--min-users=", SIZE_MAX)) {
+    } else if (uint_flag("--min-users=", 0, SIZE_MAX, kNonNegative)) {
       config.min_users = static_cast<std::size_t>(*n);
-    } else if (uint_flag("--users=", kIntMax)) {
+    } else if (uint_flag("--users=", 0, kIntMax, kNonNegative)) {
       users = static_cast<int>(*n);
+    } else if (bad_number) {
+      return 2;
     } else if (std::strcmp(arg, "--follow") == 0) {
       follow = true;
     } else if (std::strcmp(arg, "--certs") == 0) {
