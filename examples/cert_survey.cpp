@@ -25,7 +25,8 @@ int main() {
   std::printf("probed %zu SNIs from 3 vantage points: %zu reachable, "
               "%zu distinct leaf certificates, %zu issuer organizations\n",
               certs.extracted_snis(), certs.reachable_snis(),
-              certs.leaves().size(), certs.issuer_organizations().size());
+              std::size_t{certs.leaves().size()},
+              certs.issuer_organizations().size());
 
   auto issuers = core::issuer_report(certs, world.issuer_is_public);
   std::printf("private-CA leaves: %s; self-signing vendors: %zu\n",

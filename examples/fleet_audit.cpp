@@ -25,8 +25,10 @@ int main() {
   auto ds = core::ClientDataset::from_fleet(fleet);
   std::printf("parsed: %zu events (%zu dropped), %zu distinct fingerprints, "
               "%zu vendors, %zu SNIs\n\n",
-              ds.events().size(), ds.dropped_events(), ds.index().fps().size(),
-              ds.index().vendors().size(), ds.index().snis().size());
+              ds.events().size(), ds.dropped_events(),
+              std::size_t{ds.index().fps().size()},
+              std::size_t{ds.index().vendors().size()},
+              std::size_t{ds.index().snis().size()});
 
   auto match = core::match_against_corpus(ds, corpus, days(2020, 8, 1));
   std::printf("library matches: %zu fingerprints (%s) against %zu libraries\n",

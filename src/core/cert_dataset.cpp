@@ -1,6 +1,7 @@
 #include "core/cert_dataset.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "net/survey.hpp"
 #include "util/strings.hpp"
@@ -84,8 +85,8 @@ CertDataset CertDataset::collect(const ClientDataset& client,
       },
       [](const ProbedSni& p) { return p.fail_reason; });
 
-  // Sequential fold, input order: membership, aggregation and the
-  // interned index.
+  // Sequential fold, input order: counters and the interned index, which
+  // takes each SNI's membership from the client index.
   ds.index_.reserve(eligible.size());
   ds.records_.reserve(eligible.size());
   std::size_t next_fresh = 0;
@@ -96,26 +97,12 @@ CertDataset CertDataset::collect(const ClientDataset& client,
       p = std::move(probed.results[next_fresh++]);
       if (memo != nullptr) memo->by_sni.emplace(sni, p);
     } else {
-      p = memo->by_sni.at(sni);  // one copy; membership is filled below
-    }
-    for (std::uint32_t d : ix.sni_devices()[sni_id]) {
-      p.record.devices.insert(ix.devices().str(d));
-    }
-    for (std::uint32_t v : ix.sni_vendors()[sni_id]) {
-      p.record.vendors.insert(ix.vendors().str(v));
+      p = memo->by_sni.at(sni);
     }
 
     ++ds.extracted_;
-    if (p.record.reachable) {
-      ++ds.reachable_;
-      if (!p.record.chain.empty()) {
-        LeafRecord& leaf = ds.leaves_[p.leaf_fp];
-        if (leaf.servers.empty()) leaf.cert = p.record.chain.front();
-        leaf.servers.insert(p.record.sni);
-        for (const std::string& ip : p.record.server_ips) leaf.ips.insert(ip);
-      }
-    }
-    ds.index_.record(p.record, p.leaf_fp);
+    if (p.record.reachable) ++ds.reachable_;
+    ds.index_.record(p.record, p.leaf_fp, ix, sni_id);
     ds.records_.push_back(std::move(p.record));
   }
   ds.index_.finalize();
@@ -124,20 +111,24 @@ CertDataset CertDataset::collect(const ClientDataset& client,
 
 std::set<std::string> CertDataset::issuer_organizations() const {
   std::set<std::string> out;
-  for (const auto& [fp, leaf] : leaves_) out.insert(leaf.cert.issuer.organization);
+  for (std::uint32_t fp = 0; fp < index_.fps().size(); ++fp) {
+    out.insert(index_.issuers().str(index_.fp_issuer(fp)));
+  }
   return out;
 }
 
 std::vector<SldPopularity> CertDataset::popular_slds(std::size_t n) const {
   std::map<std::string, SldPopularity> by_sld;
-  std::map<std::string, std::set<std::string>> sld_devices;
-  for (const SniRecord& record : records_) {
+  std::map<std::string, std::set<std::uint32_t>> sld_devices;
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const SniRecord& record = records_[i];
     if (!record.reachable) continue;
     std::string sld = second_level_domain(record.sni);
     SldPopularity& row = by_sld[sld];
     row.sld = sld;
     ++row.servers;
-    for (const std::string& device : record.devices) sld_devices[sld].insert(device);
+    const PostingList& devices = index_.sni_devices()[i];
+    sld_devices[sld].insert(devices.begin(), devices.end());
   }
   std::vector<SldPopularity> rows;
   for (auto& [sld, row] : by_sld) {
@@ -161,26 +152,37 @@ std::size_t CertDataset::distinct_slds() const {
 
 CertDataset::SharingStats CertDataset::sharing_stats() const {
   SharingStats stats;
-  if (leaves_.empty()) return stats;
+  const std::size_t leaves = index_.fps().size();
+  if (leaves == 0) return stats;
+  // A leaf's servers are the records serving its fingerprint (one record
+  // per SNI); its IPs are the union of theirs.
+  std::vector<std::size_t> servers(leaves, 0);
+  std::vector<std::set<std::string_view>> ips(leaves);
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const std::uint32_t fp = index_.record_fp()[i];
+    if (fp == CertIndex::kNone) continue;
+    ++servers[fp];
+    ips[fp].insert(records_[i].server_ips.begin(), records_[i].server_ips.end());
+  }
   std::size_t total_servers = 0;
   std::size_t multi_ip_total = 0;
-  for (const auto& [fp, leaf] : leaves_) {
-    total_servers += leaf.servers.size();
-    stats.max_servers_per_cert = std::max(stats.max_servers_per_cert, leaf.servers.size());
-    if (leaf.ips.size() > 1) {
+  for (std::size_t fp = 0; fp < leaves; ++fp) {
+    total_servers += servers[fp];
+    stats.max_servers_per_cert = std::max(stats.max_servers_per_cert, servers[fp]);
+    if (ips[fp].size() > 1) {
       ++stats.certs_on_multiple_ips;
-      multi_ip_total += leaf.ips.size();
-      stats.max_ips_per_cert = std::max(stats.max_ips_per_cert, leaf.ips.size());
+      multi_ip_total += ips[fp].size();
+      stats.max_ips_per_cert = std::max(stats.max_ips_per_cert, ips[fp].size());
     }
   }
   stats.mean_servers_per_cert =
-      static_cast<double>(total_servers) / static_cast<double>(leaves_.size());
+      static_cast<double>(total_servers) / static_cast<double>(leaves);
   if (stats.certs_on_multiple_ips > 0) {
     stats.mean_ips_per_cert = static_cast<double>(multi_ip_total) /
                               static_cast<double>(stats.certs_on_multiple_ips);
   }
   stats.multi_ip_ratio = static_cast<double>(stats.certs_on_multiple_ips) /
-                         static_cast<double>(leaves_.size());
+                         static_cast<double>(leaves);
   return stats;
 }
 

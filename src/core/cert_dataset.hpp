@@ -29,18 +29,9 @@ struct SniRecord {
   std::vector<x509::Certificate> chain;
   bool served_misordered = false;
   std::map<net::VantagePoint, std::optional<std::string>> leaf_by_vantage;
-  std::set<std::string> devices;  // devices that contacted this SNI
-  std::set<std::string> vendors;
   std::vector<std::string> server_ips;
   bool stapled = false;        // server answered status_request with a staple
   bool staple_valid = false;   // ...that verified against the responder key
-};
-
-/// A deduplicated leaf certificate with the servers presenting it.
-struct LeafRecord {
-  x509::Certificate cert;
-  std::set<std::string> servers;  // FQDNs presenting this leaf (New York)
-  std::set<std::string> ips;
 };
 
 /// Table 15 row.
@@ -57,9 +48,9 @@ struct GeoComparison {
   std::map<net::VantagePoint, std::size_t> exclusive;    // leaf unique to place
 };
 
-/// One probed SNI: the record without membership (devices and vendors
-/// stay empty), plus the leaf fingerprint — hashed once and reused
-/// for dedup and the index memo — and the stage-span failure tag.
+/// One probed SNI: the record, plus the leaf fingerprint — hashed once and
+/// interned as the leaf's identity in the index — and the stage-span
+/// failure tag.
 struct ProbedSni {
   SniRecord record;
   std::string leaf_fp;
@@ -68,9 +59,10 @@ struct ProbedSni {
 
 /// Probe outcomes carried across epochs by the streaming daemon. A
 /// ProbedSni is a pure function of (SNI, world); membership grows with the
-/// event stream, so it is filled on every collect and never memoized. A
-/// memo-seeded collect probes only never-seen SNIs, byte-identical to a
-/// cold collect over the same client dataset.
+/// event stream, so it lives only in the index, rebuilt from the client
+/// index on every collect and never memoized. A memo-seeded collect probes
+/// only never-seen SNIs, byte-identical to a cold collect over the same
+/// client dataset.
 struct ProbeMemo {
   std::map<std::string, ProbedSni> by_sni;
 };
@@ -84,8 +76,8 @@ class CertDataset {
   /// caller, 0 = hardware concurrency) on the survey engine; SNIs are
   /// probed one per shard and merged in input (lexicographic SNI) order,
   /// each with one attempt per vantage, so the dataset — records,
-  /// leaves, counters and the interned index — is byte-identical at every
-  /// jobs level. `cache` (optional) memoizes OCSP staple verification
+  /// counters and the interned index — is byte-identical at every jobs
+  /// level. `cache` (optional) memoizes OCSP staple verification
   /// across servers sharing a certificate. `internet` (optional) overrides
   /// the internet probes travel through — e.g. a FaultInjector decorating
   /// `world.internet` — without touching the world's PKI or IP metadata.
@@ -99,10 +91,13 @@ class CertDataset {
                              ProbeMemo* memo = nullptr);
 
   const std::vector<SniRecord>& records() const { return records_; }
-  const std::map<std::string, LeafRecord>& leaves() const { return leaves_; }
+  /// Distinct leaf certificates, by hex SHA-256 fingerprint (§5.1's leaf
+  /// count; the index's fingerprint domain).
+  const Interner& leaves() const { return index_.fps(); }
 
   /// The interned-id cross-index built during collect (dense ids, posting
-  /// lists, per-leaf fingerprint memo) — what the §5.2–§5.4 analyses run on.
+  /// lists, per-leaf fingerprint memo) — what the §5.1–§5.4 analyses and
+  /// the membership of every record are read from.
   const CertIndex& index() const { return index_; }
 
   std::size_t extracted_snis() const { return extracted_; }
@@ -132,7 +127,6 @@ class CertDataset {
 
  private:
   std::vector<SniRecord> records_;
-  std::map<std::string, LeafRecord> leaves_;  // leaf fingerprint -> record
   CertIndex index_;
   std::size_t extracted_ = 0;
   std::size_t reachable_ = 0;

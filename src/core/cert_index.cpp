@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/cert_dataset.hpp"
+#include "core/index.hpp"
 
 namespace iotls::core {
 
@@ -23,28 +24,43 @@ void sort_unique_all(std::vector<PostingList>& lists) {
   }
 }
 
+std::set<std::string> names(const Interner& domain, const PostingList& ids) {
+  std::set<std::string> out;
+  for (std::uint32_t id : ids) out.insert(domain.str(id));
+  return out;
+}
+
 }  // namespace
+
+std::set<std::string> CertIndex::device_names(std::uint32_t sni) const {
+  return names(devices_, sni_devices_[sni]);
+}
+
+std::set<std::string> CertIndex::vendor_names(std::uint32_t sni) const {
+  return names(vendors_, sni_vendors_[sni]);
+}
 
 void CertIndex::reserve(std::size_t expected_records) {
   snis_.reserve(expected_records);
-  record_leaf_.reserve(expected_records);
   record_fp_.reserve(expected_records);
   sni_devices_.reserve(expected_records);
   sni_vendors_.reserve(expected_records);
 }
 
 void CertIndex::record(const SniRecord& rec,
-                       const std::string& leaf_fingerprint) {
+                       const std::string& leaf_fingerprint,
+                       const DatasetIndex& client, std::uint32_t client_sni) {
   const std::uint32_t sni = snis_.intern(rec.sni);
-  for (const std::string& device : rec.devices) {
-    append(sni_devices_, sni, devices_.intern(device));
+  for (std::uint32_t d : client.sni_devices()[client_sni]) {
+    append(sni_devices_, sni, devices_.intern(client.devices().str(d)));
   }
-  for (const std::string& vendor : rec.vendors) {
-    append(sni_vendors_, sni, vendors_.intern(vendor));
+  PostingList vendors;
+  for (std::uint32_t v : client.sni_vendors()[client_sni]) {
+    vendors.push_back(vendors_.intern(client.vendors().str(v)));
+    append(sni_vendors_, sni, vendors.back());
   }
 
   if (!rec.reachable || rec.chain.empty()) {
-    record_leaf_.push_back(kNone);
     record_fp_.push_back(kNone);
     return;
   }
@@ -55,48 +71,19 @@ void CertIndex::record(const SniRecord& rec,
     fp_issuer_.push_back(issuers_.intern(cert.issuer.organization));
     fp_validity_days_.push_back(cert.validity_days());
   }
-
-  // Leaf identity: SPKI + serial (the paper's certificate dedup key).
-  const std::uint32_t spki = spkis_.intern(cert.subject_key_id);
-  std::string identity = cert.subject_key_id;
-  identity += '\x1f';
-  identity += std::to_string(cert.serial);
-  const std::uint32_t leaf = leaf_ids_.intern(identity);
-  if (leaf == leaf_certs_.size()) {  // first sighting of this certificate
-    leaf_certs_.push_back(cert);
-    leaf_fp_.push_back(fp);
-    leaf_issuer_.push_back(issuers_.intern(cert.issuer.organization));
-    leaf_spki_.push_back(spki);
-  }
-  record_leaf_.push_back(leaf);
   record_fp_.push_back(fp);
-
-  append(leaf_servers_, leaf, sni);
-  for (const std::string& ip : rec.server_ips) {
-    append(leaf_ips_, leaf, ips_.intern(ip));
-  }
-  const std::uint32_t issuer = leaf_issuer_[leaf];
-  append(issuer_leaves_, issuer, leaf);
-  for (const std::string& vendor : rec.vendors) {
-    append(vendor_leaves_, vendors_.intern(vendor), leaf);
-  }
+  for (std::uint32_t vendor : vendors) append(vendor_fps_, vendor, fp);
 }
 
 void CertIndex::finalize() {
   sort_unique_all(sni_devices_);
   sort_unique_all(sni_vendors_);
-  sort_unique_all(leaf_servers_);
-  sort_unique_all(leaf_ips_);
-  sort_unique_all(vendor_leaves_);
-  sort_unique_all(issuer_leaves_);
+  sort_unique_all(vendor_fps_);
   // Posting tables are row-indexed by interned ids; pad to the full domain
   // so accessors never index past the end for rows that gained no postings.
   sni_devices_.resize(snis_.size());
   sni_vendors_.resize(snis_.size());
-  leaf_servers_.resize(leaf_certs_.size());
-  leaf_ips_.resize(leaf_certs_.size());
-  vendor_leaves_.resize(vendors_.size());
-  issuer_leaves_.resize(issuers_.size());
+  vendor_fps_.resize(vendors_.size());
 }
 
 }  // namespace iotls::core

@@ -7,19 +7,21 @@
 // the sequential fold of CertDataset::collect (record order), and gives the
 // analyses dense uint32 ids with sorted posting lists instead:
 //
-//  * leaves are deduplicated by SPKI+serial — each distinct certificate is
-//    fingerprinted and classified once, not once per serving SNI;
-//  * sni↔device/vendor/ip and vendor↔leaf/issuer↔leaf relations are sorted
-//    posting lists over interned ids;
-//  * the hex SHA-256 fingerprint of each distinct leaf is memoized, so no
-//    analysis downstream of collect() ever re-hashes a certificate.
+//  * the leaf's hex SHA-256 fingerprint is the one leaf identity: each
+//    distinct fingerprint is interned, and its issuer and validity are
+//    captured once, so no analysis downstream of collect() ever re-hashes
+//    a certificate;
+//  * sni↔device/vendor and vendor↔fingerprint relations are sorted
+//    posting lists over interned ids, and they are the only record of
+//    which devices and vendors contacted an SNI.
 //
 // Built in input order, so ids and posting lists are bit-identical at every
-// --jobs level; the string-keyed record/leaf views CertDataset keeps for
-// the report layer are unchanged and remain the compatibility surface.
+// --jobs level. SNIs are interned in record order, so an SNI's id is its
+// position in CertDataset::records().
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,7 @@
 
 namespace iotls::core {
 
+class DatasetIndex;
 struct SniRecord;
 
 class CertIndex {
@@ -38,40 +41,18 @@ class CertIndex {
   const Interner& snis() const { return snis_; }
   const Interner& devices() const { return devices_; }
   const Interner& vendors() const { return vendors_; }
-  const Interner& ips() const { return ips_; }
   /// Leaf issuer organizations (Fig. 5 y-axis domain).
   const Interner& issuers() const { return issuers_; }
-  /// Subject key ids (the SPKI-hash domain of the leaf identity).
-  const Interner& spkis() const { return spkis_; }
   /// Distinct leaf SHA-256 fingerprints (hex), memoized at collect time.
   const Interner& fps() const { return fps_; }
 
-  /// Number of distinct leaves (deduplicated by SPKI+serial).
-  std::uint32_t leaf_count() const {
-    return static_cast<std::uint32_t>(leaf_certs_.size());
-  }
-  /// The certificate of a leaf id (first-seen instance).
-  const x509::Certificate& leaf_cert(std::uint32_t leaf) const {
-    return leaf_certs_[leaf];
-  }
-  /// Memoized hex fingerprint of a leaf id.
-  const std::string& leaf_fingerprint(std::uint32_t leaf) const {
-    return fps_.str(leaf_fp_[leaf]);
-  }
-  std::uint32_t leaf_fp(std::uint32_t leaf) const { return leaf_fp_[leaf]; }
-  std::uint32_t leaf_issuer(std::uint32_t leaf) const { return leaf_issuer_[leaf]; }
-  std::uint32_t leaf_spki(std::uint32_t leaf) const { return leaf_spki_[leaf]; }
-
   /// Issuer organization id of a fingerprint id, captured from the first
-  /// record serving it — the same "first insertion wins" semantics as the
-  /// seed's fingerprint-keyed leaf map.
+  /// record serving it (identical bytes share one issuer).
   std::uint32_t fp_issuer(std::uint32_t fp) const { return fp_issuer_[fp]; }
   std::int64_t fp_validity_days(std::uint32_t fp) const {
     return fp_validity_days_[fp];
   }
 
-  /// Record position -> leaf id (kNone when unreachable or empty chain).
-  const std::vector<std::uint32_t>& record_leaf() const { return record_leaf_; }
   /// Record position -> fingerprint id (kNone when no leaf).
   const std::vector<std::uint32_t>& record_fp() const { return record_fp_; }
 
@@ -79,38 +60,35 @@ class CertIndex {
   // finalize().
   const std::vector<PostingList>& sni_devices() const { return sni_devices_; }
   const std::vector<PostingList>& sni_vendors() const { return sni_vendors_; }
-  const std::vector<PostingList>& leaf_servers() const { return leaf_servers_; }
-  const std::vector<PostingList>& leaf_ips() const { return leaf_ips_; }
-  const std::vector<PostingList>& vendor_leaves() const { return vendor_leaves_; }
-  const std::vector<PostingList>& issuer_leaves() const { return issuer_leaves_; }
+  const std::vector<PostingList>& vendor_fps() const { return vendor_fps_; }
+
+  /// The devices / vendors that contacted an SNI, by name (the report
+  /// edge: name order is the order the §5 tables print in).
+  std::set<std::string> device_names(std::uint32_t sni) const;
+  std::set<std::string> vendor_names(std::uint32_t sni) const;
 
   void reserve(std::size_t expected_records);
 
   /// Intern one collected record (sequential fold, input order).
   /// `leaf_fingerprint` is the precomputed hex fingerprint of the record's
-  /// leaf (empty when unreachable or the chain is empty).
-  void record(const SniRecord& rec, const std::string& leaf_fingerprint);
+  /// leaf (empty when unreachable or the chain is empty); membership is
+  /// read from the client index's posting lists for `client_sni`.
+  void record(const SniRecord& rec, const std::string& leaf_fingerprint,
+              const DatasetIndex& client, std::uint32_t client_sni);
 
   /// Sort/unique the posting lists. Call once, after the last record().
   void finalize();
 
  private:
-  Interner snis_, devices_, vendors_, ips_, issuers_, spkis_, fps_;
+  Interner snis_, devices_, vendors_, issuers_, fps_;
 
-  // Per-leaf columns (leaf = distinct SPKI+serial identity).
-  Interner leaf_ids_;  // "spki \x1f serial" -> dense leaf id
-  std::vector<x509::Certificate> leaf_certs_;
-  std::vector<std::uint32_t> leaf_fp_, leaf_issuer_, leaf_spki_;
-
-  // Per-fingerprint columns (first-record-wins, seed leaf-map semantics).
+  // Per-fingerprint columns (first-record-wins).
   std::vector<std::uint32_t> fp_issuer_;
   std::vector<std::int64_t> fp_validity_days_;
 
-  std::vector<std::uint32_t> record_leaf_, record_fp_;
+  std::vector<std::uint32_t> record_fp_;
 
-  std::vector<PostingList> sni_devices_, sni_vendors_;
-  std::vector<PostingList> leaf_servers_, leaf_ips_;
-  std::vector<PostingList> vendor_leaves_, issuer_leaves_;
+  std::vector<PostingList> sni_devices_, sni_vendors_, vendor_fps_;
 };
 
 }  // namespace iotls::core

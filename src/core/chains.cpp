@@ -16,14 +16,15 @@ ChainReport validate_dataset(const CertDataset& certs,
   // Per-record validation is pure (the cache memoizes deterministic verify
   // outcomes, and obs verdict counters are additive), so only the schedule
   // depends on jobs — never the results.
-  std::vector<const SniRecord*> reachable;
-  reachable.reserve(certs.records().size());
-  for (const SniRecord& record : certs.records()) {
-    if (record.reachable) reachable.push_back(&record);
+  const std::vector<SniRecord>& records = certs.records();
+  std::vector<std::uint32_t> reachable;  // record positions (= SNI ids)
+  reachable.reserve(records.size());
+  for (std::uint32_t i = 0; i < records.size(); ++i) {
+    if (records[i].reachable) reachable.push_back(i);
   }
   std::vector<SniValidation> validations(reachable.size());
   exec::parallel_for(jobs, reachable.size(), [&](std::size_t i) {
-    const SniRecord& record = *reachable[i];
+    const SniRecord& record = records[reachable[i]];
     SniValidation& v = validations[i];
     v.sni = record.sni;
     // Chains in a CertDataset are already normalized to leaf-first order by
@@ -34,8 +35,8 @@ ChainReport validate_dataset(const CertDataset& certs,
     v.result = x509::validate_chain(record.chain, record.sni, world.trust,
                                     world.keys, now, cache);
     v.chain_length = record.chain.size();
-    v.devices = record.devices;
-    v.vendors = record.vendors;
+    v.devices = certs.index().device_names(reachable[i]);
+    v.vendors = certs.index().vendor_names(reachable[i]);
     if (!record.chain.empty()) {
       v.leaf_issuer = record.chain.front().issuer.organization;
       auto it = world.issuer_is_public.find(v.leaf_issuer);
@@ -52,7 +53,7 @@ ChainReport validate_dataset(const CertDataset& certs,
   std::size_t private_leaf_failures = 0;
 
   for (std::size_t i = 0; i < reachable.size(); ++i) {
-    const SniRecord& record = *reachable[i];
+    const SniRecord& record = records[reachable[i]];
     SniValidation& v = validations[i];
     ++report.validated;
     if (x509::chain_trusted(v.result.status)) ++report.trusted;

@@ -76,7 +76,7 @@ CtReport ct_report(const CertDataset& certs, const devicesim::SimWorld& world,
     const std::string& leaf_fp = ix.fps().str(fp);
     const RecordClass& rc = classes[i];
 
-    for (const std::string& vendor : record.vendors) {
+    for (const std::string& vendor : ix.vendor_names(i)) {
       CtPoint point;
       point.sni = record.sni;
       point.vendor = vendor;

@@ -28,28 +28,20 @@ std::string issuer_org_for_vendor(const std::string& vendor) {
 
 namespace {
 
-/// Per vendor, the multiset of leaf certificates on servers its devices
-/// visit: vendor -> issuer org -> #distinct leaves.
+/// Per vendor, the leaf certificates on servers its devices visit:
+/// vendor -> issuer org -> #distinct leaves (by fingerprint).
 ///
-/// Index-backed: walks the vendor→leaf posting lists instead of rescanning
-/// every record and re-hashing every leaf. Distinctness is still counted
-/// over fingerprints (the seed's set<fingerprint> semantics), via the
-/// memoized per-leaf fingerprint ids.
+/// Index-backed: walks the vendor→fingerprint posting lists instead of
+/// rescanning every record and re-hashing every leaf.
 std::map<std::string, std::map<std::string, std::size_t>> vendor_issuer_counts(
     const CertDataset& certs) {
   const CertIndex& ix = certs.index();
   std::map<std::string, std::map<std::string, std::size_t>> out;
   for (std::uint32_t v = 0; v < ix.vendors().size(); ++v) {
-    const PostingList& leaves = ix.vendor_leaves()[v];
-    if (leaves.empty()) continue;  // vendor met no served certificate
-    std::map<std::uint32_t, std::set<std::uint32_t>> issuer_fps;
-    for (std::uint32_t leaf : leaves) {
-      issuer_fps[ix.leaf_issuer(leaf)].insert(ix.leaf_fp(leaf));
-    }
+    const PostingList& fps = ix.vendor_fps()[v];
+    if (fps.empty()) continue;  // vendor met no served certificate
     std::map<std::string, std::size_t>& row = out[ix.vendors().str(v)];
-    for (const auto& [issuer, fps] : issuer_fps) {
-      row[ix.issuers().str(issuer)] = fps.size();
-    }
+    for (std::uint32_t fp : fps) ++row[ix.issuers().str(ix.fp_issuer(fp))];
   }
   return out;
 }
@@ -68,9 +60,7 @@ IssuerMatrix issuer_matrix(const CertDataset& certs,
   IssuerMatrix matrix;
   auto counts = vendor_issuer_counts(certs);
 
-  // Distinct leaves per issuer from the fingerprint domain of the index
-  // (the same first-record-wins issuer attribution as the seed's
-  // fingerprint-keyed leaf map).
+  // Distinct leaves per issuer, over the index's fingerprint domain.
   const CertIndex& ix = certs.index();
   std::map<std::string, std::size_t> issuer_totals;
   for (std::uint32_t f = 0; f < ix.fps().size(); ++f) {

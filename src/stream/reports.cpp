@@ -188,24 +188,13 @@ obs::Json report_ct(StreamIngest& ingest, const core::CertDataset& certs) {
   });
 }
 
-/// Vendor sets per SNI, for annotating stack clusters with who talks to
-/// the servers behind them.
-std::map<std::string, const core::SniRecord*> record_index(
-    const core::CertDataset& certs) {
-  std::map<std::string, const core::SniRecord*> out;
-  for (const core::SniRecord& record : certs.records()) {
-    out[record.sni] = &record;
-  }
-  return out;
-}
-
 obs::Json report_stacks(StreamIngest& ingest, const core::CertDataset& certs) {
   // Server-side dual of Table 4/5: instead of clustering *clients* by the
   // fingerprints they send, cluster *servers* by the stack fingerprint the
   // battery elicits. Clusters are keyed on the New York / IPv4 digest (the
   // paper's primary vantage).
   const net::StackSurvey& survey = ingest.stacks();
-  auto record_of = record_index(certs);
+  const core::CertIndex& ix = certs.index();
 
   struct Cluster {
     std::vector<std::string> servers;  // records() order == lexicographic
@@ -224,10 +213,12 @@ obs::Json report_stacks(StreamIngest& ingest, const core::CertDataset& certs) {
     ++fingerprinted;
     Cluster& cluster = clusters[fp->digest];
     cluster.servers.push_back(result.sni);
-    auto it = record_of.find(result.sni);
-    if (it != record_of.end()) {
-      cluster.vendors.insert(it->second->vendors.begin(),
-                             it->second->vendors.end());
+    // Annotate the cluster with the vendors that talk to its servers.
+    std::uint32_t sni = ix.snis().find(result.sni);
+    if (sni != core::CertIndex::kNone) {
+      for (std::uint32_t v : ix.sni_vendors()[sni]) {
+        cluster.vendors.insert(ix.vendors().str(v));
+      }
     }
   }
 
@@ -285,7 +276,7 @@ obs::Json report_dualstack(StreamIngest& ingest,
   // the same stack and certificate the v4 frontend does? Compared at New
   // York, the paper's primary vantage.
   const net::StackSurvey& survey = ingest.stacks();
-  auto record_of = record_index(certs);
+  const core::CertIndex& ix = certs.index();
 
   std::size_t snis = 0;
   std::size_t v4_unanswered = 0;
@@ -318,8 +309,8 @@ obs::Json report_dualstack(StreamIngest& ingest,
     if (stack_div) ++stack_divergent;
     if (cert_div) ++cert_divergent;
     std::set<std::string> vendors;
-    auto it = record_of.find(result.sni);
-    if (it != record_of.end()) vendors = it->second->vendors;
+    std::uint32_t sni = ix.snis().find(result.sni);
+    if (sni != core::CertIndex::kNone) vendors = ix.vendor_names(sni);
     rows.emplace_back(obs::Json::Object{
         {"sni", result.sni},
         {"stack_divergent", stack_div},

@@ -1,14 +1,15 @@
 // §5 pipeline equivalence tests: the interned/parallel/cached certificate
 // pipeline must be byte-identical to the pre-index sequential path.
 //
-// Each analysis is restated here exactly as the seed implemented it —
-// string-keyed maps over the `records()`/`leaves()` compatibility views,
-// re-hashing fingerprints per use, uncached signature verification — and
-// both sides are serialized to canonical JSON (obs::Json preserves member
-// order) and compared as dump() strings at --jobs 1 and --jobs 8, with and
-// without a ValidationCache. Also covers the ValidationCache contract
-// (hit/miss counters, correctness vs uncached, determinism across jobs
-// levels) and CertIndex internal consistency.
+// Each analysis is restated as the seed implemented it (tests/seed_certs.hpp
+// and ref_collect below) — string-keyed maps with membership from the
+// parsed events, fingerprints re-hashed per use, uncached signature
+// verification — and both sides are serialized to canonical JSON
+// (obs::Json preserves member order) and compared as dump() strings at
+// --jobs 1 and --jobs 8, with and without a ValidationCache. Also covers
+// the ValidationCache contract (hit/miss counters, correctness vs
+// uncached, determinism across jobs levels) and CertIndex internal
+// consistency.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,10 +30,13 @@
 #include "net/prober.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "tls/clienthello.hpp"
+#include "tls/record.hpp"
 #include "util/dates.hpp"
-#include "util/strings.hpp"
+#include "x509/authority.hpp"
 #include "x509/validation.hpp"
 
+#include "seed_certs.hpp"
 #include "seed_maps.hpp"
 
 namespace iotls::core {
@@ -68,7 +72,58 @@ obs::Json vec_json(const std::vector<std::string>& s) {
   return obs::Json(std::move(a));
 }
 
-obs::Json record_json(const SniRecord& r) {
+/// One entry of the seed's fingerprint-keyed leaf map: issuer and serial
+/// of the first record serving the leaf, the servers presenting it and
+/// their IPs.
+struct LeafView {
+  std::string issuer;
+  std::uint64_t serial = 0;
+  std::set<std::string> servers, ips;
+};
+
+/// A collected dataset in the seed's shape: each record with the devices
+/// and vendors that contacted its SNI, plus the leaf map.
+struct DatasetView {
+  std::vector<SniRecord> records;
+  std::vector<std::set<std::string>> devices, vendors;  // per record
+  std::map<std::string, LeafView> leaves;
+  std::size_t extracted = 0;
+  std::size_t reachable = 0;
+
+  /// Adds `record`'s leaf, known by `fp`, to the leaf map.
+  void add_leaf(const std::string& fp, const std::string& issuer,
+                const SniRecord& record) {
+    LeafView& leaf = leaves[fp];
+    if (leaf.servers.empty()) {
+      leaf.issuer = issuer;
+      leaf.serial = record.chain.front().serial;
+    }
+    leaf.servers.insert(record.sni);
+    leaf.ips.insert(record.server_ips.begin(), record.server_ips.end());
+  }
+};
+
+/// The view of a collected dataset, read through its index: membership
+/// from the posting lists, leaves from the fingerprint domain.
+DatasetView view_of(const CertDataset& ds) {
+  const CertIndex& ix = ds.index();
+  DatasetView view;
+  view.records = ds.records();
+  view.extracted = ds.extracted_snis();
+  view.reachable = ds.reachable_snis();
+  for (std::uint32_t i = 0; i < view.records.size(); ++i) {
+    view.devices.push_back(ix.device_names(i));
+    view.vendors.push_back(ix.vendor_names(i));
+    const std::uint32_t fp = ix.record_fp()[i];
+    if (fp == CertIndex::kNone) continue;
+    view.add_leaf(ix.fps().str(fp), ix.issuers().str(ix.fp_issuer(fp)),
+                  view.records[i]);
+  }
+  return view;
+}
+
+obs::Json record_json(const SniRecord& r, const std::set<std::string>& devices,
+                      const std::set<std::string>& vendors) {
   obs::Json::Array chain;
   for (const x509::Certificate& cert : r.chain) {
     chain.push_back(obs::Json(cert.fingerprint()));
@@ -86,41 +141,38 @@ obs::Json record_json(const SniRecord& r) {
       {"chain", obs::Json(std::move(chain))},
       {"misordered", obs::Json(r.served_misordered)},
       {"by_vantage", obs::Json(std::move(by_vantage))},
-      {"devices", set_json(r.devices)},
-      {"vendors", set_json(r.vendors)},
+      {"devices", set_json(devices)},
+      {"vendors", set_json(vendors)},
       {"ips", vec_json(r.server_ips)},
       {"stapled", obs::Json(r.stapled)},
       {"staple_valid", obs::Json(r.staple_valid)},
   });
 }
 
-obs::Json dataset_json(const std::vector<SniRecord>& records,
-                       const std::map<std::string, LeafRecord>& leaves,
-                       std::size_t extracted, std::size_t reachable) {
+obs::Json dataset_json(const DatasetView& ds) {
   obs::Json::Array recs;
-  for (const SniRecord& r : records) recs.push_back(record_json(r));
+  for (std::size_t i = 0; i < ds.records.size(); ++i) {
+    recs.push_back(record_json(ds.records[i], ds.devices[i], ds.vendors[i]));
+  }
   obs::Json::Array leaf_rows;
-  for (const auto& [fp, leaf] : leaves) {
+  for (const auto& [fp, leaf] : ds.leaves) {
     leaf_rows.push_back(obs::Json(obs::Json::Object{
         {"fp", obs::Json(fp)},
-        {"issuer", obs::Json(leaf.cert.issuer.organization)},
-        {"serial", obs::Json(static_cast<std::int64_t>(leaf.cert.serial))},
+        {"issuer", obs::Json(leaf.issuer)},
+        {"serial", obs::Json(static_cast<std::int64_t>(leaf.serial))},
         {"servers", set_json(leaf.servers)},
         {"ips", set_json(leaf.ips)},
     }));
   }
   return obs::Json(obs::Json::Object{
-      {"extracted", obs::Json(static_cast<std::int64_t>(extracted))},
-      {"reachable", obs::Json(static_cast<std::int64_t>(reachable))},
+      {"extracted", obs::Json(static_cast<std::int64_t>(ds.extracted))},
+      {"reachable", obs::Json(static_cast<std::int64_t>(ds.reachable))},
       {"records", obs::Json(std::move(recs))},
       {"leaves", obs::Json(std::move(leaf_rows))},
   });
 }
 
-obs::Json dataset_json(const CertDataset& ds) {
-  return dataset_json(ds.records(), ds.leaves(), ds.extracted_snis(),
-                      ds.reachable_snis());
-}
+obs::Json dataset_json(const CertDataset& ds) { return dataset_json(view_of(ds)); }
 
 obs::Json validation_json(const SniValidation& v) {
   return obs::Json(obs::Json::Object{
@@ -270,25 +322,17 @@ obs::Json ct_report_json(const CtReport& report) {
   });
 }
 
-// ------------------------------------------------- seed-path restatements
+// ------------------------------------------------------ seed collect
 //
-// These reproduce the pre-index implementations verbatim (modulo obs span
-// bookkeeping, which never affects results): sequential walks over the
-// string-keyed maps, fingerprints re-hashed per use, verification uncached.
-// ref_collect reads the seed's client maps rebuilt from the parsed events
-// (SeedMaps), never the DatasetIndex collect walks.
+// The pre-index collect, verbatim (modulo obs span bookkeeping, which never
+// affects results): a sequential walk over the seed's client maps rebuilt
+// from the parsed events (SeedMaps), never the DatasetIndex collect walks.
+// The analyses' restatements live in seed_certs.hpp.
 
-struct RefDataset {
-  std::vector<SniRecord> records;
-  std::map<std::string, LeafRecord> leaves;
-  std::size_t extracted = 0;
-  std::size_t reachable = 0;
-};
-
-RefDataset ref_collect(const SeedMaps& client,
-                       const devicesim::SimWorld& world,
-                       const net::Internet& internet, std::size_t min_users) {
-  RefDataset ds;
+DatasetView ref_collect(const SeedMaps& client,
+                        const devicesim::SimWorld& world,
+                        const net::Internet& internet, std::size_t min_users) {
+  DatasetView ds;
   net::TlsProber prober(internet);
   for (const auto& [sni, users] : client.sni_users) {
     if (users.size() < min_users) continue;
@@ -296,8 +340,8 @@ RefDataset ref_collect(const SeedMaps& client,
 
     SniRecord record;
     record.sni = sni;
-    record.devices = client.sni_devices.at(sni);
-    record.vendors = client.sni_vendors.at(sni);
+    ds.devices.push_back(client.sni_devices.at(sni));
+    ds.vendors.push_back(client.sni_vendors.at(sni));
 
     net::MultiVantageResult multi = prober.probe_all_vantages(sni);
     for (const auto& [vantage, result] : multi.by_vantage) {
@@ -323,301 +367,13 @@ RefDataset ref_collect(const SeedMaps& client,
         record.server_ips = server->ips;
       }
       if (!record.chain.empty()) {
-        const std::string fp = record.chain.front().fingerprint();
-        LeafRecord& leaf = ds.leaves[fp];
-        if (leaf.servers.empty()) leaf.cert = record.chain.front();
-        leaf.servers.insert(sni);
-        for (const std::string& ip : record.server_ips) leaf.ips.insert(ip);
+        const x509::Certificate& leaf = record.chain.front();
+        ds.add_leaf(leaf.fingerprint(), leaf.issuer.organization, record);
       }
     }
     ds.records.push_back(std::move(record));
   }
   return ds;
-}
-
-ChainReport ref_validate_dataset(const CertDataset& certs,
-                                 const devicesim::SimWorld& world,
-                                 std::int64_t now) {
-  ChainReport report;
-  std::map<std::string, DomainChainRow> failures;
-  std::map<std::string, DomainChainRow> private_roots;
-  std::map<std::string, DomainChainRow> self_signed;
-  std::size_t private_leaves = 0;
-  std::size_t private_leaf_failures = 0;
-
-  for (const SniRecord& record : certs.records()) {
-    if (!record.reachable) continue;
-    SniValidation v;
-    v.sni = record.sni;
-    std::vector<x509::Certificate> chain =
-        x509::normalize_chain_order(record.chain, record.sni);
-    v.result = x509::validate_chain(chain, record.sni, world.trust,
-                                    world.keys, now);
-    v.chain_length = record.chain.size();
-    v.devices = record.devices;
-    v.vendors = record.vendors;
-    if (!record.chain.empty()) {
-      v.leaf_issuer = record.chain.front().issuer.organization;
-      auto it = world.issuer_is_public.find(v.leaf_issuer);
-      v.leaf_issuer_public = it == world.issuer_is_public.end() ? true : it->second;
-    }
-    ++report.validated;
-    if (x509::chain_trusted(v.result.status)) ++report.trusted;
-
-    if (!v.leaf_issuer_public) {
-      ++private_leaves;
-      if (!x509::chain_trusted(v.result.status)) ++private_leaf_failures;
-    }
-
-    auto aggregate = [&](std::map<std::string, DomainChainRow>& into) {
-      std::string sld = second_level_domain(v.sni);
-      std::string key = sld + "|" + v.leaf_issuer + "|" +
-                        x509::chain_status_name(v.result.status);
-      DomainChainRow& row = into[key];
-      row.sld = sld;
-      row.leaf_issuer = v.leaf_issuer;
-      row.status = v.result.status;
-      row.chain_lengths.insert(v.chain_length);
-      ++row.fqdns;
-      for (const std::string& d : v.devices) row.devices.insert(d);
-      for (const std::string& vendor : v.vendors) row.vendors.insert(vendor);
-    };
-
-    switch (v.result.status) {
-      case x509::ChainStatus::kIncompleteChain:
-      case x509::ChainStatus::kUntrustedRoot:
-      case x509::ChainStatus::kSelfSigned:
-      case x509::ChainStatus::kBadSignature:
-      case x509::ChainStatus::kEmptyChain:
-        aggregate(failures);
-        break;
-      default:
-        break;
-    }
-    if (v.result.status == x509::ChainStatus::kUntrustedRoot) aggregate(private_roots);
-    if (v.result.status == x509::ChainStatus::kSelfSigned) aggregate(self_signed);
-
-    if (v.result.expired && !record.chain.empty()) {
-      ExpiredRow row;
-      row.sni = v.sni;
-      row.sld = second_level_domain(v.sni);
-      row.not_after = record.chain.front().not_after;
-      row.issuer = v.leaf_issuer;
-      row.devices = v.devices;
-      row.vendors = v.vendors;
-      report.expired.push_back(std::move(row));
-    }
-    if (!v.result.hostname_ok && !record.chain.empty()) {
-      report.cn_mismatches.push_back(v);
-    }
-    report.validations.push_back(std::move(v));
-  }
-
-  auto flatten = [](std::map<std::string, DomainChainRow>& from,
-                    std::vector<DomainChainRow>& into) {
-    for (auto& [key, row] : from) into.push_back(std::move(row));
-    std::sort(into.begin(), into.end(),
-              [](const DomainChainRow& a, const DomainChainRow& b) {
-                return a.devices.size() > b.devices.size();
-              });
-  };
-  flatten(failures, report.failure_rows);
-  flatten(private_roots, report.private_root_rows);
-  flatten(self_signed, report.self_signed_rows);
-
-  report.private_leaf_failure_ratio =
-      private_leaves ? static_cast<double>(private_leaf_failures) / private_leaves : 0;
-  return report;
-}
-
-std::map<std::string, std::map<std::string, std::size_t>>
-ref_vendor_issuer_counts(const CertDataset& certs) {
-  std::map<std::string, std::map<std::string, std::set<std::string>>>
-      vendor_issuer_leaves;
-  for (const SniRecord& record : certs.records()) {
-    if (!record.reachable || record.chain.empty()) continue;
-    const x509::Certificate& leaf = record.chain.front();
-    for (const std::string& vendor : record.vendors) {
-      vendor_issuer_leaves[vendor][leaf.issuer.organization].insert(
-          leaf.fingerprint());
-    }
-  }
-  std::map<std::string, std::map<std::string, std::size_t>> out;
-  for (const auto& [vendor, issuers] : vendor_issuer_leaves) {
-    for (const auto& [issuer, leaves] : issuers) out[vendor][issuer] = leaves.size();
-  }
-  return out;
-}
-
-bool ref_is_public(const std::map<std::string, bool>& issuer_is_public,
-                   const std::string& org) {
-  auto it = issuer_is_public.find(org);
-  return it == issuer_is_public.end() ? true : it->second;
-}
-
-IssuerMatrix ref_issuer_matrix(const CertDataset& certs,
-                               const std::map<std::string, bool>& issuer_is_public) {
-  IssuerMatrix matrix;
-  auto counts = ref_vendor_issuer_counts(certs);
-
-  std::map<std::string, std::size_t> issuer_totals;
-  for (const auto& [fp, leaf] : certs.leaves()) {
-    ++issuer_totals[leaf.cert.issuer.organization];
-  }
-
-  std::map<std::string, double> vendor_public_share;
-  for (const auto& [vendor, issuers] : counts) {
-    std::size_t total = 0;
-    for (const auto& [issuer, n] : issuers) total += n;
-    if (total == 0) continue;
-    double public_share = 0;
-    for (const auto& [issuer, n] : issuers) {
-      double r = static_cast<double>(n) / static_cast<double>(total);
-      matrix.ratio[vendor][issuer] = r;
-      matrix.issuer_public[issuer] = ref_is_public(issuer_is_public, issuer);
-      if (matrix.issuer_public[issuer]) public_share += r;
-    }
-    vendor_public_share[vendor] = public_share;
-  }
-
-  for (const auto& [issuer, total] : issuer_totals) {
-    matrix.issuer_order.push_back(issuer);
-    matrix.issuer_public.emplace(issuer, ref_is_public(issuer_is_public, issuer));
-  }
-  std::sort(matrix.issuer_order.begin(), matrix.issuer_order.end(),
-            [&](const std::string& a, const std::string& b) {
-              return issuer_totals[a] > issuer_totals[b];
-            });
-
-  for (const auto& [vendor, share] : vendor_public_share) {
-    matrix.vendor_order.push_back(vendor);
-  }
-  std::sort(matrix.vendor_order.begin(), matrix.vendor_order.end(),
-            [&](const std::string& a, const std::string& b) {
-              return vendor_public_share[a] > vendor_public_share[b];
-            });
-  return matrix;
-}
-
-IssuerReport ref_issuer_report(const CertDataset& certs,
-                               const std::map<std::string, bool>& issuer_is_public) {
-  IssuerReport report;
-  report.leaves = certs.leaves().size();
-
-  std::map<std::string, std::size_t> per_issuer;
-  for (const auto& [fp, leaf] : certs.leaves()) {
-    const std::string& org = leaf.cert.issuer.organization;
-    ++per_issuer[org];
-    if (!ref_is_public(issuer_is_public, org)) ++report.private_leaves;
-  }
-  report.issuer_organizations = per_issuer.size();
-  report.private_ratio = report.leaves
-                             ? static_cast<double>(report.private_leaves) / report.leaves
-                             : 0;
-  for (const auto& [org, n] : per_issuer) {
-    report.issuer_share[org] =
-        static_cast<double>(n) / static_cast<double>(report.leaves);
-  }
-
-  auto counts = ref_vendor_issuer_counts(certs);
-  for (const auto& [vendor, issuers] : counts) {
-    bool any_private = false;
-    bool all_self = true;
-    std::string self_org = issuer_org_for_vendor(vendor);
-    for (const auto& [issuer, n] : issuers) {
-      if (!ref_is_public(issuer_is_public, issuer)) any_private = true;
-      if (issuer != self_org) all_self = false;
-      if (issuer == self_org && !self_org.empty())
-        report.self_signing_vendors.insert(vendor);
-    }
-    if (!any_private) report.public_only_vendors.insert(vendor);
-    if (all_self && !self_org.empty()) report.vendor_only_vendors.insert(vendor);
-  }
-  return report;
-}
-
-bool ref_issuer_public(const devicesim::SimWorld& world, const std::string& org) {
-  auto it = world.issuer_is_public.find(org);
-  return it == world.issuer_is_public.end() ? true : it->second;
-}
-
-ChainClass ref_classify_chain(const devicesim::SimWorld& world,
-                              const std::vector<x509::Certificate>& chain) {
-  const x509::Certificate& leaf = chain.front();
-  bool leaf_public = ref_issuer_public(world, leaf.issuer.organization);
-  if (leaf_public) return ChainClass::kPublicLeafPublicRoot;
-  const x509::Certificate& top = chain.back();
-  bool anchored_public = top.self_signed()
-                             ? world.trust.contains_key(top.subject_key_id)
-                             : world.trust.contains_key(top.authority_key_id);
-  return anchored_public ? ChainClass::kPrivateLeafPublicRoot
-                         : ChainClass::kPrivateLeafPrivateRoot;
-}
-
-CtReport ref_ct_report(const CertDataset& certs, const devicesim::SimWorld& world) {
-  CtReport report;
-  std::set<std::string> long_private, all_private;
-
-  for (const SniRecord& record : certs.records()) {
-    if (!record.reachable || record.chain.empty()) continue;
-    const x509::Certificate& leaf = record.chain.front();
-    ChainClass cls = ref_classify_chain(world, record.chain);
-    bool logged = world.ct_index.logged(leaf.fingerprint());
-
-    for (const std::string& vendor : record.vendors) {
-      CtPoint point;
-      point.sni = record.sni;
-      point.vendor = vendor;
-      point.leaf_fingerprint = leaf.fingerprint();
-      point.leaf_issuer = leaf.issuer.organization;
-      point.validity_days = leaf.validity_days();
-      point.chain_class = cls;
-      point.in_ct = logged;
-      report.points.push_back(std::move(point));
-    }
-
-    bool leaf_public = ref_issuer_public(world, leaf.issuer.organization);
-    if (leaf_public) {
-      ++report.public_leaves;
-      if (logged) {
-        ++report.public_leaves_in_ct;
-      } else {
-        CtPoint anomaly;
-        anomaly.sni = record.sni;
-        anomaly.leaf_issuer = leaf.issuer.organization;
-        anomaly.leaf_fingerprint = leaf.fingerprint();
-        anomaly.validity_days = leaf.validity_days();
-        anomaly.chain_class = cls;
-        report.public_not_logged.push_back(std::move(anomaly));
-      }
-      report.max_public_validity =
-          std::max(report.max_public_validity, leaf.validity_days());
-    } else {
-      ++report.private_leaves;
-      if (logged) ++report.private_leaves_in_ct;
-      all_private.insert(leaf.fingerprint());
-      if (leaf.validity_days() > 5 * 365) long_private.insert(leaf.fingerprint());
-      report.max_private_validity =
-          std::max(report.max_private_validity, leaf.validity_days());
-    }
-  }
-  report.tuples = report.points.size();
-  report.private_long_validity_ratio =
-      all_private.empty()
-          ? 0
-          : static_cast<double>(long_private.size()) / all_private.size();
-
-  std::sort(report.public_not_logged.begin(), report.public_not_logged.end(),
-            [](const CtPoint& a, const CtPoint& b) {
-              return a.leaf_fingerprint < b.leaf_fingerprint;
-            });
-  report.public_not_logged.erase(
-      std::unique(report.public_not_logged.begin(), report.public_not_logged.end(),
-                  [](const CtPoint& a, const CtPoint& b) {
-                    return a.leaf_fingerprint == b.leaf_fingerprint;
-                  }),
-      report.public_not_logged.end());
-  return report;
 }
 
 // --------------------------------------------------------- byte identity
@@ -627,9 +383,8 @@ TEST(CertPipelineIdentity, CollectMatchesSeedAtEveryJobsLevel) {
   const net::FaultSpec spec = net::FaultSpec::parse("seed=7,timeout=0.2");
   for (std::size_t min_users : {1, 2, 3}) {
     SCOPED_TRACE("min_users=" + std::to_string(min_users));
-    RefDataset ref = ref_collect(f.seed, f.world, f.world.internet, min_users);
-    std::string want =
-        dataset_json(ref.records, ref.leaves, ref.extracted, ref.reachable).dump();
+    DatasetView ref = ref_collect(f.seed, f.world, f.world.internet, min_users);
+    std::string want = dataset_json(ref).dump();
 
     if (min_users == 1) {
       // The fixture collects at jobs=1 with no cache.
@@ -655,11 +410,9 @@ TEST(CertPipelineIdentity, CollectMatchesSeedAtEveryJobsLevel) {
     // fault-attempt order is the one collect must reproduce at every jobs
     // level.
     net::FaultInjector ref_injector(f.world.internet, spec);
-    RefDataset faulted = ref_collect(f.seed, f.world, ref_injector, min_users);
+    DatasetView faulted = ref_collect(f.seed, f.world, ref_injector, min_users);
     ASSERT_LT(faulted.reachable, ref.reachable);  // the faults bite
-    std::string want_faulted = dataset_json(faulted.records, faulted.leaves,
-                                            faulted.extracted, faulted.reachable)
-                                   .dump();
+    std::string want_faulted = dataset_json(faulted).dump();
     for (int jobs : {1, 8}) {
       net::FaultInjector injector(f.world.internet, spec);
       auto got = CertDataset::collect(f.client, f.world, min_users, jobs,
@@ -672,7 +425,9 @@ TEST(CertPipelineIdentity, CollectMatchesSeedAtEveryJobsLevel) {
 TEST(CertPipelineIdentity, ValidateMatchesSeedAtEveryJobsLevel) {
   const auto& f = fixture();
   std::string want =
-      chain_report_json(ref_validate_dataset(f.certs, f.world, f.probe_day)).dump();
+      chain_report_json(
+          ref_validate_dataset(f.certs, f.seed, f.world, f.probe_day))
+          .dump();
 
   EXPECT_EQ(chain_report_json(
                 validate_dataset(f.certs, f.world, f.probe_day, 1, nullptr))
@@ -693,19 +448,91 @@ TEST(CertPipelineIdentity, ValidateMatchesSeedAtEveryJobsLevel) {
 
 TEST(CertPipelineIdentity, IssuerAnalysesMatchSeed) {
   const auto& f = fixture();
-  EXPECT_EQ(matrix_json(issuer_matrix(f.certs, f.world.issuer_is_public)).dump(),
-            matrix_json(ref_issuer_matrix(f.certs, f.world.issuer_is_public)).dump());
+  EXPECT_EQ(
+      matrix_json(issuer_matrix(f.certs, f.world.issuer_is_public)).dump(),
+      matrix_json(ref_issuer_matrix(f.certs, f.seed, f.world.issuer_is_public))
+          .dump());
   EXPECT_EQ(
       issuer_report_json(issuer_report(f.certs, f.world.issuer_is_public)).dump(),
-      issuer_report_json(ref_issuer_report(f.certs, f.world.issuer_is_public))
+      issuer_report_json(
+          ref_issuer_report(f.certs, f.seed, f.world.issuer_is_public))
           .dump());
 }
 
 TEST(CertPipelineIdentity, CtReportMatchesSeedAtEveryJobsLevel) {
   const auto& f = fixture();
-  std::string want = ct_report_json(ref_ct_report(f.certs, f.world)).dump();
+  std::string want = ct_report_json(ref_ct_report(f.certs, f.seed, f.world)).dump();
   EXPECT_EQ(ct_report_json(ct_report(f.certs, f.world, 1)).dump(), want);
   EXPECT_EQ(ct_report_json(ct_report(f.certs, f.world, 8)).dump(), want);
+}
+
+/// One ClientHello from `device` naming `sni`.
+devicesim::ClientHelloEvent hello(const std::string& device,
+                                  const std::string& sni) {
+  tls::ClientHello ch;
+  ch.legacy_version = 0x0303;
+  ch.cipher_suites = {0x1301, 0xc02f, 0x009c};
+  ch.extensions.push_back({10, {}});
+  ch.set_sni(sni);
+  Bytes msg = ch.encode();
+  devicesim::ClientHelloEvent e;
+  e.device_id = device;
+  e.day = days(2019, 7, 1);
+  e.sni = sni;
+  e.wire = tls::encode_records(tls::ContentType::kHandshake, 0x0303,
+                               BytesView(msg.data(), msg.size()));
+  return e;
+}
+
+TEST(CertPipelineIdentity, LeavesSharingKeyAndSerialKeepTheirIssuers) {
+  // Two private CAs each issue a leaf for CN "device". The subject key
+  // derives from the CN and the serial from the CN and the CA's issuance
+  // count, so both leaves carry the same key and serial — the shared
+  // firmware key with a default serial — but differ in issuer and
+  // fingerprint. One vendor's device contacts both servers.
+  devicesim::SimWorld world;
+  devicesim::FleetDataset fleet;
+  fleet.users = {"u1"};
+  fleet.devices.push_back({"dev-1", "V", "Widget", "u1"});
+  std::vector<x509::Certificate> leaves;
+  for (const std::string org : {"OrgA", "OrgB"}) {
+    auto root = x509::CertificateAuthority::make_root(
+        org + " Root", org, x509::CaKind::kPrivate, 0, 40000);
+    root.publish_key(world.keys);
+    world.issuer_is_public[org] = false;
+    x509::IssueRequest req;
+    req.subject.common_name = "device";
+    req.not_before = 18000;
+    req.not_after = 19000;
+    leaves.push_back(root.issue(req));
+
+    net::SimServer server;
+    server.sni = (org == "OrgA" ? "a" : "b") + std::string(".example.com");
+    server.ips = {org == "OrgA" ? "198.51.100.1" : "198.51.100.2"};
+    server.default_chain = {leaves.back(), root.certificate()};
+    fleet.events.push_back(hello("dev-1", server.sni));
+    world.internet.add_server(std::move(server));
+  }
+  ASSERT_EQ(leaves[0].subject_key_id, leaves[1].subject_key_id);
+  ASSERT_EQ(leaves[0].serial, leaves[1].serial);
+  ASSERT_NE(leaves[0].fingerprint(), leaves[1].fingerprint());
+
+  ClientDataset client = ClientDataset::from_fleet(fleet);
+  SeedMaps seed{client};
+  CertDataset certs = CertDataset::collect(client, world);
+  ASSERT_EQ(certs.reachable_snis(), 2u);
+  EXPECT_EQ(certs.leaves().size(), 2u);
+
+  IssuerMatrix matrix = issuer_matrix(certs, world.issuer_is_public);
+  EXPECT_EQ(matrix.ratio["V"],
+            (std::map<std::string, double>{{"OrgA", 0.5}, {"OrgB", 0.5}}));
+  EXPECT_EQ(
+      matrix_json(matrix).dump(),
+      matrix_json(ref_issuer_matrix(certs, seed, world.issuer_is_public)).dump());
+  EXPECT_EQ(
+      issuer_report_json(issuer_report(certs, world.issuer_is_public)).dump(),
+      issuer_report_json(ref_issuer_report(certs, seed, world.issuer_is_public))
+          .dump());
 }
 
 // ------------------------------------------------------- ValidationCache
@@ -784,22 +611,35 @@ bool sorted_unique(const PostingList& list) {
          list.end();
 }
 
+/// The seed collect over the fixture, probed once.
+const DatasetView& ref_view() {
+  static const DatasetView view = [] {
+    const auto& f = fixture();
+    return ref_collect(f.seed, f.world, f.world.internet, 1);
+  }();
+  return view;
+}
+
 TEST(CertIndexTest, FingerprintDomainMatchesLeafView) {
   const auto& f = fixture();
   const CertIndex& ix = f.certs.index();
+  const DatasetView& ref = ref_view();
 
-  // Every distinct fingerprint in the string-keyed compat view is interned,
-  // and nothing else is.
-  EXPECT_EQ(ix.fps().size(), f.certs.leaves().size());
-  for (const auto& [fp, leaf] : f.certs.leaves()) {
+  // Every distinct fingerprint of the seed's leaf map is interned, and
+  // nothing else is; leaves() is that domain.
+  EXPECT_EQ(ix.fps().size(), ref.leaves.size());
+  EXPECT_EQ(&f.certs.leaves(), &ix.fps());
+  for (const auto& [fp, leaf] : ref.leaves) {
     std::uint32_t id = ix.fps().find(fp);
     ASSERT_NE(id, CertIndex::kNone) << fp;
-    EXPECT_EQ(ix.issuers().str(ix.fp_issuer(id)), leaf.cert.issuer.organization);
-    EXPECT_EQ(ix.fp_validity_days(id), leaf.cert.validity_days());
+    EXPECT_EQ(ix.issuers().str(ix.fp_issuer(id)), leaf.issuer);
   }
-  // Leaves dedup by SPKI+serial, which identical bytes always share.
-  EXPECT_LE(ix.leaf_count(), ix.fps().size());
-  EXPECT_GT(ix.leaf_count(), 0u);
+  for (std::size_t i = 0; i < f.certs.records().size(); ++i) {
+    const std::uint32_t fp = ix.record_fp()[i];
+    if (fp == CertIndex::kNone) continue;
+    EXPECT_EQ(ix.fp_validity_days(fp),
+              f.certs.records()[i].chain.front().validity_days());
+  }
 }
 
 TEST(CertIndexTest, RecordColumnsTrackRecords) {
@@ -807,21 +647,19 @@ TEST(CertIndexTest, RecordColumnsTrackRecords) {
   const CertIndex& ix = f.certs.index();
   const auto& records = f.certs.records();
 
-  ASSERT_EQ(ix.record_leaf().size(), records.size());
+  ASSERT_EQ(ix.snis().size(), records.size());
   ASSERT_EQ(ix.record_fp().size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
+  for (std::uint32_t i = 0; i < records.size(); ++i) {
     const SniRecord& record = records[i];
+    EXPECT_EQ(ix.snis().str(i), record.sni);  // SNI id == record position
     if (!record.reachable || record.chain.empty()) {
-      EXPECT_EQ(ix.record_leaf()[i], CertIndex::kNone) << record.sni;
       EXPECT_EQ(ix.record_fp()[i], CertIndex::kNone) << record.sni;
       continue;
     }
     ASSERT_NE(ix.record_fp()[i], CertIndex::kNone) << record.sni;
-    ASSERT_NE(ix.record_leaf()[i], CertIndex::kNone) << record.sni;
     // The memoized fingerprint is the leaf's actual SHA-256.
     EXPECT_EQ(ix.fps().str(ix.record_fp()[i]), record.chain.front().fingerprint())
         << record.sni;
-    EXPECT_EQ(ix.leaf_fp(ix.record_leaf()[i]), ix.record_fp()[i]) << record.sni;
   }
 }
 
@@ -829,43 +667,32 @@ TEST(CertIndexTest, PostingListsSortedUniqueAndComplete) {
   const auto& f = fixture();
   const CertIndex& ix = f.certs.index();
 
-  for (const auto* table : {&ix.sni_devices(), &ix.sni_vendors(), &ix.leaf_servers(),
-                            &ix.leaf_ips(), &ix.vendor_leaves(), &ix.issuer_leaves()}) {
+  for (const auto* table : {&ix.sni_devices(), &ix.sni_vendors(), &ix.vendor_fps()}) {
     for (const PostingList& list : *table) {
       EXPECT_TRUE(sorted_unique(list));
     }
   }
 
-  // leaf_servers must agree with the string-keyed leaf view.
-  for (const auto& [fp, leaf] : f.certs.leaves()) {
-    std::uint32_t leaf_id = CertIndex::kNone;
-    for (std::uint32_t l = 0; l < ix.leaf_count(); ++l) {
-      if (ix.leaf_fingerprint(l) == fp) { leaf_id = l; break; }
-    }
-    ASSERT_NE(leaf_id, CertIndex::kNone) << fp;
-    std::set<std::string> servers;
-    for (std::uint32_t sni : ix.leaf_servers()[leaf_id]) {
-      servers.insert(ix.snis().str(sni));
-    }
-    // SPKI+serial dedup can fold several byte-identical-modulo-metadata
-    // certificates into one leaf id, so the index's server set covers at
-    // least the compat view's.
-    for (const std::string& s : leaf.servers) {
-      EXPECT_TRUE(servers.count(s)) << fp << " missing " << s;
+  // sni_devices/sni_vendors must agree with the parsed events.
+  std::map<std::string, std::set<std::string>> vendor_fps;
+  for (std::uint32_t i = 0; i < f.certs.records().size(); ++i) {
+    const SniRecord& record = f.certs.records()[i];
+    EXPECT_EQ(ix.device_names(i), f.seed.sni_devices.at(record.sni)) << record.sni;
+    EXPECT_EQ(ix.vendor_names(i), f.seed.sni_vendors.at(record.sni)) << record.sni;
+    if (!record.reachable || record.chain.empty()) continue;
+    for (const std::string& vendor : f.seed.sni_vendors.at(record.sni)) {
+      vendor_fps[vendor].insert(record.chain.front().fingerprint());
     }
   }
 
-  // sni_devices/sni_vendors must agree with each record.
-  for (std::size_t i = 0; i < f.certs.records().size(); ++i) {
-    const SniRecord& record = f.certs.records()[i];
-    std::uint32_t sni = ix.snis().find(record.sni);
-    ASSERT_NE(sni, CertIndex::kNone) << record.sni;
-    std::set<std::string> devices, vendors;
-    for (std::uint32_t d : ix.sni_devices()[sni]) devices.insert(ix.devices().str(d));
-    for (std::uint32_t v : ix.sni_vendors()[sni]) vendors.insert(ix.vendors().str(v));
-    EXPECT_EQ(devices, record.devices) << record.sni;
-    EXPECT_EQ(vendors, record.vendors) << record.sni;
+  // vendor_fps: each vendor's distinct leaves, vendors with none left empty.
+  std::map<std::string, std::set<std::string>> got;
+  for (std::uint32_t v = 0; v < ix.vendors().size(); ++v) {
+    for (std::uint32_t fp : ix.vendor_fps()[v]) {
+      got[ix.vendors().str(v)].insert(ix.fps().str(fp));
+    }
   }
+  EXPECT_EQ(got, vendor_fps);
 }
 
 }  // namespace

@@ -268,8 +268,9 @@ int main(int argc, char** argv) {
                 drops.unknown_device, drops.no_client_hello, drops.parse_error);
   }
   std::printf("distinct fingerprints: %zu across %zu vendors and %zu SNIs\n\n",
-              ds.index().fps().size(), ds.index().vendors().size(),
-              ds.index().snis().size());
+              std::size_t{ds.index().fps().size()},
+              std::size_t{ds.index().vendors().size()},
+              std::size_t{ds.index().snis().size()});
 
   auto degree = core::fingerprint_degree_distribution(ds);
   std::printf("fingerprint degree: %s single-vendor, %zu shared by 2, "
@@ -306,7 +307,8 @@ int main(int argc, char** argv) {
     std::printf("\ncertificates: %zu SNIs extracted, %zu reachable, "
                 "%zu distinct leaves, %zu issuer organizations\n",
                 certs.extracted_snis(), certs.reachable_snis(),
-                certs.leaves().size(), certs.issuer_organizations().size());
+                std::size_t{certs.leaves().size()},
+                certs.issuer_organizations().size());
 
     auto chains = core::validate_dataset(certs, world, days(2022, 4, 15), jobs,
                                          &vcache);
